@@ -24,8 +24,10 @@ from . import _kernels
 from .errors import IdealSyntaxError, UnitIdealError
 
 # Boxes with at most this many cells use the grid route for minimalization
-# and intersection; larger problems fall back to pairwise comparisons.
+# and saturation; larger problems fall back to pairwise comparisons.
 _BOX_CELL_CAP = 1 << 22
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 # Direct lattice enumeration for Hilbert counting is used below this many
 # degree-t points; beyond it, inclusion-exclusion with lcm pruning runs.
@@ -89,6 +91,16 @@ class Monomial:
 
 
 def _as_rows(d: int, gens) -> np.ndarray:
+    if isinstance(gens, np.ndarray) and gens.ndim == 2 and gens.dtype.kind in "biu":
+        if gens.shape[0] == 0:
+            return np.zeros((0, d), dtype=np.int64)
+        if gens.shape[1] != d:
+            raise ValueError(f"generator has {gens.shape[1]} exponents, expected {d}")
+        if gens.dtype.kind == "i" and (gens < 0).any():
+            raise ValueError("exponents must be non-negative")
+        if gens.dtype.kind == "u" and gens.max() > _INT64_MAX:
+            raise ValueError("exponent does not fit in int64")
+        return gens.astype(np.int64)
     rows = []
     for g in gens:
         exps = g.exponents if isinstance(g, Monomial) else tuple(int(e) for e in g)
@@ -99,27 +111,40 @@ def _as_rows(d: int, gens) -> np.ndarray:
         rows.append(exps)
     if not rows:
         return np.zeros((0, d), dtype=np.int64)
-    return np.asarray(rows, dtype=np.int64)
+    try:
+        return np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("exponent does not fit in int64") from None
 
 
 def _minimal_rows(exps: np.ndarray) -> np.ndarray:
-    """Divisibility-minimal rows, deduplicated, in ascending lex order."""
-    if exps.shape[0] == 0:
+    """Divisibility-minimal rows, deduplicated, in ascending lex order.
+
+    Repeated rows mark the same box cell, so only the pairwise route, which
+    needs distinct rows, deduplicates.
+    """
+    m = exps.shape[0]
+    if m >= 16:
+        maxs = exps.max(axis=0)
+        if _box_cells(maxs) <= _BOX_CELL_CAP:
+            box = np.zeros(tuple(maxs + 1), dtype=np.uint8)
+            box[tuple(exps.T)] = 1
+            _kernels.upward_close(box)
+            return _box_generators(box)
+    if m <= 1:
         return exps
     exps = np.unique(exps, axis=0)
-    m, d = exps.shape
-    if m == 1:
-        return exps
-    maxs = exps.max(axis=0)
-    cells = int(np.prod(maxs + 1, dtype=np.int64))
-    if m >= 16 and cells <= _BOX_CELL_CAP:
-        box = np.zeros(tuple(maxs + 1), dtype=np.uint8)
-        box[tuple(exps.T)] = 1
-        _kernels.upward_close(box)
-        mins = _kernels.minimal_cells(box)
-        return np.argwhere(mins != 0).astype(np.int64)
-    keep = _kernels.pairwise_minimal(exps)
-    return exps[keep]
+    return exps[_kernels.pairwise_minimal(exps)]
+
+
+def _box_cells(maxs) -> int:
+    """Cells of the box spanned by 0..maxs, in exact integer arithmetic."""
+    return math.prod(int(x) + 1 for x in maxs)
+
+
+def _box_generators(box: np.ndarray) -> np.ndarray:
+    """Minimal exponent vectors of an upward-closed box, in lex order."""
+    return np.argwhere(_kernels.minimal_cells(box) != 0).astype(np.int64)
 
 
 class MonomialIdeal:
@@ -255,7 +280,7 @@ def parse_ideal(text: str, d: int) -> MonomialIdeal:
                 raise IdealSyntaxError(
                     f"variable index {idx} out of range 1..{d}", at
                 )
-            e = 1
+            e, at_e = 1, at
             skip_blank(False)
             if pos < n and text[pos] == "^":
                 pos += 1
@@ -264,6 +289,10 @@ def parse_ideal(text: str, d: int) -> MonomialIdeal:
                 if e < 1:
                     raise IdealSyntaxError("exponent must be positive", at_e)
             exps[idx - 1] += e
+            if exps[idx - 1] > _INT64_MAX:
+                raise IdealSyntaxError(
+                    f"exponent of x{idx} exceeds {_INT64_MAX}", at_e
+                )
             skip_blank(False)
             if pos < n and text[pos] == "*":
                 pos += 1
@@ -340,22 +369,8 @@ def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
 
 
 def _intersect_many(ideals: list[MonomialIdeal]) -> MonomialIdeal:
+    """Intersection of nonzero ideals by minimalized pairwise lcms."""
     d = ideals[0].d
-    if any(J.is_zero for J in ideals):
-        return MonomialIdeal(d)
-    maxs = np.zeros(d, dtype=np.int64)
-    for J in ideals:
-        maxs = np.maximum(maxs, J._exps.max(axis=0))
-    cells = int(np.prod(maxs + 1, dtype=np.int64))
-    if cells <= _BOX_CELL_CAP:
-        acc = None
-        for J in ideals:
-            box = np.zeros(tuple(maxs + 1), dtype=np.uint8)
-            box[tuple(J._exps.T)] = 1
-            _kernels.upward_close(box)
-            acc = box if acc is None else acc * box
-        rows = np.argwhere(_kernels.minimal_cells(acc) != 0).astype(np.int64)
-        return MonomialIdeal._from_minimal_rows(d, rows)
     cur = ideals[0]._exps
     for J in ideals[1:]:
         cand = np.maximum(cur[:, None, :], J._exps[None, :, :]).reshape(-1, d)
@@ -366,37 +381,23 @@ def _intersect_many(ideals: list[MonomialIdeal]) -> MonomialIdeal:
 def saturate_irrelevant(I: MonomialIdeal) -> MonomialIdeal:
     """Saturation (I : m^infinity) with respect to m = (x1, ..., xd).
 
-    Dividing out all powers of the single variable x_j is exactly
-    ``project(I, {j})``, and saturating by m is the intersection of those d
-    single-variable saturations: a monomial times every high power of m lands
-    in I iff it does so along each variable direction separately.
+    A monomial x^b times every high power of m lands in I iff it does so
+    along each variable direction separately, i.e. iff for every j the
+    exponent b with b_j raised to rho_j is in I (no generator exceeds rho_j
+    there). On the membership box that is an AND, over j, of the box's top
+    slice along axis j broadcast back over the axis. Boxes above the cell
+    cap intersect the d single-variable saturations ``project(I, {j})``
+    instead.
     """
     if I.is_zero or I.is_unit:
         return I
-    parts = [project(I, (j,)) for j in range(1, I.d + 1)]
-    return _intersect_many(parts)
-
-
-def _saturate_by_colon_fixpoint(I: MonomialIdeal) -> MonomialIdeal:
-    """Reference saturation: iterate J -> (J : m) until it stabilizes.
-
-    (J : x_j) decrements the j-th exponent of every generator (floored at 0)
-    and (J : m) intersects those over j. Kept as an oracle for the one-shot
-    projection route used by saturate_irrelevant.
-    """
-    if I.is_zero or I.is_unit:
-        return I
-    cur = I
-    while True:
-        cols = []
-        for j in range(cur.d):
-            exps = cur._exps.copy()
-            exps[:, j] = np.maximum(exps[:, j] - 1, 0)
-            cols.append(MonomialIdeal(cur.d, exps))
-        nxt = _intersect_many(cols)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    if _box_cells(var_degree_bounds(I).rho) > _BOX_CELL_CAP:
+        return _intersect_many([project(I, (j,)) for j in range(1, I.d + 1)])
+    box = membership_box(I)
+    sat = np.ones_like(box)
+    for j in range(I.d):
+        sat &= box[(slice(None),) * j + (slice(-1, None),)]
+    return MonomialIdeal._from_minimal_rows(I.d, _box_generators(sat))
 
 
 def radical(I: MonomialIdeal) -> MonomialIdeal:

@@ -27,12 +27,23 @@ from .errors import UnitIdealError
 from .monomial_core import MAX_VARIABLES, MonomialIdeal, radical
 
 
+# Largest accepted prime characteristic. Modular elimination multiplies two
+# residues in int64, which is exact only while p**2 stays below 2**63; the
+# bound also keeps the trial-division primality check to ~46k steps.
+MAX_CHAR = 2**31 - 1
+
+
 def _validate_char(char: int) -> int:
     char = int(char)
     if char == 0:
         return 0
     if char < 2:
         raise ValueError(f"characteristic must be 0 or a prime, got {char}")
+    if char > MAX_CHAR:
+        raise ValueError(
+            f"characteristic {char} exceeds the supported bound 2**31 - 1 "
+            f"= {MAX_CHAR}"
+        )
     k = 2
     while k * k <= char:
         if char % k == 0:

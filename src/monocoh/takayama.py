@@ -89,7 +89,6 @@ class DegreePattern:
 
     a_plus: tuple[int, ...]
     G: tuple[int, ...] = ()
-    clamped: bool = True
 
     def __post_init__(self):
         if any(self.a_plus[g - 1] != 0 for g in self.G):
@@ -266,6 +265,20 @@ def _pattern_count(rho: Sequence[int], d: int, max_g: int) -> int:
     return sum(coeffs[: max_g + 1])
 
 
+def _row_keys(masks: np.ndarray) -> np.ndarray:
+    """One sortable key per mask row, for a 1-D ``np.unique``: the row's
+    single uint64 word, or a void view of the whole row."""
+    if masks.shape[1] == 1:
+        return masks[:, 0]
+    row = np.dtype((np.void, masks.dtype.itemsize * masks.shape[1]))
+    return np.ascontiguousarray(masks).view(row).reshape(-1)
+
+
+def _row_word(row: np.ndarray) -> int:
+    """The bits of a mask row as one Python int (word w holds bits 64w..)."""
+    return sum(int(w) << (64 * k) for k, w in enumerate(row))
+
+
 def cohomology_table(
     I: MonomialIdeal,
     i: int,
@@ -319,15 +332,13 @@ def cohomology_table(
                 tuple(j for j in range(d) if f >> j & 1) for f in cand
             ]
             masks = _kernels.scan_face_masks(box, free_axes, list(g_combo), face_axes)
-            uniq, inverse = np.unique(masks, axis=0, return_inverse=True)
-            inverse = inverse.reshape(-1)
-            dims_u = np.zeros(uniq.shape[0], dtype=np.int64)
-            for u in range(uniq.shape[0]):
-                present = [
-                    cand[f]
-                    for f in range(len(cand))
-                    if uniq[u, f >> 6] >> np.uint64(f & 63) & np.uint64(1)
-                ]
+            _, first, inverse = np.unique(
+                _row_keys(masks), return_index=True, return_inverse=True
+            )
+            dims_u = np.zeros(first.size, dtype=np.int64)
+            for u, p in enumerate(first):
+                word = _row_word(masks[p])
+                present = [cand[f] for f in range(len(cand)) if word >> f & 1]
                 key = (q, tuple(present))
                 if key not in memo:
                     memo[key] = homology_dim_single(present, q, char)

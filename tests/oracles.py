@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from monocoh.monomial_core import MonomialIdeal
 
 
@@ -77,6 +79,42 @@ def saturation_by_colon_chain(I: MonomialIdeal) -> set[tuple[int, ...]]:
         if stepped == cur:
             return cur
         cur = stepped
+
+
+def saturate_by_colon_fixpoint(I: MonomialIdeal) -> MonomialIdeal:
+    """(I : m^infinity) as the fixpoint of J -> (J : m), on 0/1 boxes.
+
+    (J : x_j) lowers the j-th exponent of every generator by one (floored
+    at 0), and (J : m) is the intersection of those colons over j: the AND
+    of their up-closed boxes. Closure and minimal cells use plain numpy
+    rather than the package's kernels.
+    """
+    if I.is_zero or I.is_unit:
+        return I
+    cur = I
+    while True:
+        exps = cur.exponent_matrix
+        shape = tuple(exps.max(axis=0) + 1)
+        acc = np.ones(shape, dtype=bool)
+        for j in range(I.d):
+            colon = exps.copy()
+            colon[:, j] = np.maximum(colon[:, j] - 1, 0)
+            box = np.zeros(shape, dtype=bool)
+            box[tuple(colon.T)] = True
+            for ax in range(box.ndim):
+                np.logical_or.accumulate(box, axis=ax, out=box)
+            acc &= box
+        mins = acc.copy()
+        for ax in range(acc.ndim):
+            below = np.zeros_like(acc)
+            below[(slice(None),) * ax + (slice(1, None),)] = acc[
+                (slice(None),) * ax + (slice(None, -1),)
+            ]
+            mins &= ~below
+        nxt = MonomialIdeal(I.d, np.argwhere(mins))
+        if nxt == cur:
+            return cur
+        cur = nxt
 
 
 def cycle_edge_primes(d: int) -> list[list[tuple[int, ...]]]:

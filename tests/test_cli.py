@@ -170,6 +170,18 @@ class TestExitCodes:
                           "--i", "1", "--powers", "3..1")
         assert code == 2
 
+    def test_huge_exponent_is_2(self, capsys):
+        code = cli.main(["delta", "--ideal", "x1^99999999999999999999",
+                         "--d", "2"])
+        err = capsys.readouterr().err
+        assert code == 2 and "exceeds" in err
+
+    def test_char_above_bound_is_2(self, capsys):
+        code = cli.main(["cohomology", "--ideal", "x1*x2", "--d", "2",
+                         "--i", "1", "--char", "4294967311"])
+        err = capsys.readouterr().err
+        assert code == 2 and "2**31 - 1" in err
+
     def test_unknown_command_is_2(self, capsys):
         assert cli.main(["frobnicate"]) == 2
 

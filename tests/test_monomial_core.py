@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from monocoh import monomial_core
 from monocoh.errors import IdealSyntaxError, UnitIdealError
 from monocoh.monomial_core import (
     Monomial,
     MonomialIdeal,
     _hilbert_enumerate,
     _hilbert_inclusion_exclusion,
-    _saturate_by_colon_fixpoint,
     contains,
     hilbert_function,
     krull_dimension,
@@ -67,6 +67,17 @@ class TestParse:
     def test_zero_exponent_rejected(self):
         with pytest.raises(IdealSyntaxError, match="positive"):
             parse_ideal("x1^0", 2)
+
+    def test_exponent_beyond_int64_rejected(self):
+        with pytest.raises(IdealSyntaxError, match="exceeds") as exc:
+            parse_ideal("x1^99999999999999999999", 2)
+        assert exc.value.position == 3
+        top = 2**63 - 1
+        assert parse_ideal(f"x1^{top}", 1).exponent_matrix.tolist() == [[top]]
+        # checked after the exponents of a repeated variable are summed
+        with pytest.raises(IdealSyntaxError, match="exceeds") as exc:
+            parse_ideal(f"x2 * x1^{top} * x1", 2)
+        assert exc.value.position == len(f"x2 * x1^{top} * x")
 
     def test_trailing_comma(self):
         with pytest.raises(IdealSyntaxError):
@@ -149,13 +160,28 @@ class TestProjectSaturate:
         I = parse_ideal("x1*x2", 2)
         assert saturate_irrelevant(I) == I
 
-    def test_colon_fixpoint_oracle_agrees(self, small_corpus):
-        for I in small_corpus[:15]:
+    @staticmethod
+    def _check_against_colon_oracles(ideals):
+        for I in ideals:
             got = saturate_irrelevant(I)
             want = oracles.saturation_by_colon_chain(I)
             assert {tuple(r) for r in got.exponent_matrix.tolist()} == want
-            # the in-package colon-fixpoint route agrees too
-            assert _saturate_by_colon_fixpoint(I) == got
+            assert oracles.saturate_by_colon_fixpoint(I) == got
+
+    def test_colon_fixpoint_oracle_agrees(self, small_corpus):
+        # membership boxes under the cell cap: the one-box saturation
+        self._check_against_colon_oracles(small_corpus[:15])
+
+    def test_colon_fixpoint_oracle_agrees_above_box_cap(
+        self, small_corpus, monkeypatch
+    ):
+        # every box over the cap: projections intersected by pairwise lcms
+        monkeypatch.setattr(monomial_core, "_BOX_CELL_CAP", 1)
+        self._check_against_colon_oracles(small_corpus[:15])
+        J = power(cycle_ideal(5), 2)
+        assert saturate_irrelevant(J).exponent_matrix.tolist() == (
+            oracles.saturate_by_colon_fixpoint(J).exponent_matrix.tolist()
+        )
 
     def test_cycle_saturation_prime_powers(self):
         for d in (5, 6):
@@ -241,6 +267,23 @@ class TestIdealObject:
     def test_membership_operator(self):
         I = parse_ideal("x1*x2", 2)
         assert (1, 1) in I and (1, 0) not in I
+
+    def test_ndarray_input_validated_like_lists(self):
+        for gens in ([[1, 2, 3]], np.array([[1, 2, 3]])):
+            with pytest.raises(ValueError, match="3 exponents, expected 2"):
+                MonomialIdeal(2, gens)
+        for gens in ([[1, -1]], np.array([[1, -1]])):
+            with pytest.raises(ValueError, match="non-negative"):
+                MonomialIdeal(2, gens)
+        rows = [[0, 3], [1, 1], [2, 1], [1, 1]]
+        I = MonomialIdeal(2, np.array(rows, dtype=np.int32))
+        assert I == MonomialIdeal(2, rows)
+        assert I.exponent_matrix.dtype == np.int64
+        assert MonomialIdeal(2, np.zeros((0, 5), dtype=np.int64)).is_zero
+
+    def test_list_exponent_beyond_int64_is_value_error(self):
+        with pytest.raises(ValueError, match="int64"):
+            MonomialIdeal(1, [[2**63]])
 
     def test_generators_str_round_trip(self, small_corpus):
         for I in small_corpus[:20]:

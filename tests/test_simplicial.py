@@ -7,7 +7,9 @@ import pytest
 
 from monocoh.monomial_core import parse_ideal
 from monocoh.simplicial import (
+    MAX_CHAR,
     SimplicialComplex,
+    _validate_char,
     from_facets,
     homology_dim_single,
     reduced_homology_dims,
@@ -220,6 +222,21 @@ class TestValidation:
                 reduced_homology_dims(K, bad)
         for ok in (0, 2, 3, 5, 7, 97):
             reduced_homology_dims(K, ok)
+
+    def test_char_bound(self):
+        assert MAX_CHAR == 2**31 - 1 and _validate_char(MAX_CHAR) == MAX_CHAR
+        # rejected by size before any primality work, so large primes fail fast
+        for big in (4294967311, 2**61 - 1):
+            with pytest.raises(ValueError, match="2\\*\\*31 - 1"):
+                _validate_char(big)
+
+    def test_largest_char_matches_rationals(self):
+        # complexes on at most 5 vertices are torsion-free
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            K = random_complex(rng, 5)
+            assert (reduced_homology_dims(K, MAX_CHAR).dims
+                    == reduced_homology_dims(K, 0).dims)
 
     def test_vertex_out_of_range(self):
         with pytest.raises(ValueError):

@@ -255,6 +255,25 @@ class TestHochsterOracle:
                 t = cohomology_table(I, i, char)
                 assert entry_map(t) == oracles.hochster_table_oracle(I, i, char)
 
+    @pytest.mark.parametrize("char", [0, 2])
+    @pytest.mark.parametrize("tri", [(1, 2, 3), (8, 9, 10)], ids=["low", "high"])
+    def test_multiword_face_masks(self, tri, char):
+        # hollow triangle on `tri` plus a disjoint 6-simplex on the other 7
+        # vertices: at i=2, G=∅ there are 70 candidate faces, two mask words
+        # per row. With tri = (8, 9, 10) the simplex's 64 small faces fill
+        # the first word and the triangle's faces, which carry the
+        # homology, sit in the second.
+        rest = [b for b in range(1, 11) if b not in tri]
+        gens = [f"x{a}*x{b}" for a in tri for b in rest]
+        gens.append("*".join(f"x{a}" for a in tri))
+        I = parse_ideal(", ".join(gens), 10)
+        faces = stanley_reisner_complex(I).face_masks()
+        assert sum(1 for f in faces if f.bit_count() <= 3) == 70
+        for i in (1, 2):
+            want = oracles.hochster_table_oracle(I, i, char)
+            assert entry_map(cohomology_table(I, i, char)) == want
+        assert len(want) == 7
+
 
 class TestExtendedDegreeInvariants:
     def test_finite_length_examples(self):
