@@ -369,18 +369,18 @@ def scan_face_masks(
             out,
         )
         return out
-    sub_shape = tuple(int(x) for x in sub_dims)
+    # out viewed over the pattern box; a face axis is probed at its top
+    # cell and kept with length 1, so the probe broadcasts along it
+    out_box = out.reshape(tuple(int(x) for x in sub_dims) + (nw,))
+    g_set = set(g_axes)
     for f_i, f in enumerate(faces):
-        pinned = set(g_axes) | set(f)
         idx = tuple(
-            shape[j] - 1 if j in pinned else slice(None) for j in range(len(shape))
+            shape[j] - 1 if j in g_set else slice(-1, None) if j in f
+            else slice(None)
+            for j in range(len(shape))
         )
-        view = box[idx]
-        expand_at = tuple(t for t, j in enumerate(free_axes) if j in f)
-        if expand_at:
-            view = np.expand_dims(view, axis=expand_at)
-        presence = np.broadcast_to(view == 0, sub_shape).reshape(-1)
-        out[:, f_i >> 6] |= presence.astype(np.uint64) << np.uint64(f_i & 63)
+        presence = (box[idx] == 0).astype(np.uint64) << np.uint64(f_i & 63)
+        out_box[..., f_i >> 6] |= presence
     return out
 
 

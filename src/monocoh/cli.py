@@ -24,7 +24,7 @@ from .errors import (
     ResourceCapError,
     UnitIdealError,
 )
-from .simplicial import stanley_reisner_complex
+from .simplicial import _validate_char, stanley_reisner_complex
 from .takayama import DEFAULT_PATTERN_CAP
 
 
@@ -59,6 +59,30 @@ def _load_ideal(args: argparse.Namespace) -> mc.MonomialIdeal:
     else:
         src = Path(args.ideal_file).read_text()
     return mc.parse_ideal(src, args.d)
+
+
+def _checked_inputs(
+    args: argparse.Namespace, module: bool = True
+) -> tuple[mc.MonomialIdeal, int, int]:
+    """The ideal and the power range, with the ideal (when ``module``) and
+    the characteristic validated, so a rejected command writes no output."""
+    I = _load_ideal(args)
+    if module:
+        tk._require_module(I)
+    lo, hi = _parse_powers(args.powers)
+    _validate_char(args.char)
+    return I, lo, hi
+
+
+def _sequence_inputs(args: argparse.Namespace) -> tuple[mc.MonomialIdeal, int]:
+    """The validated ideal and the top power of a sequence command."""
+    I, lo, hi = _checked_inputs(args)
+    if lo != 1:
+        raise ValueError(
+            "sequence commands need a contiguous range from 1, e.g. '1..4'"
+        )
+    tk._validate_i(args.d, args.i)
+    return I, hi
 
 
 def _add_common(p: argparse.ArgumentParser, powers_default: str) -> None:
@@ -165,8 +189,7 @@ def _power_ideal(I: mc.MonomialIdeal, n: int, saturated: bool) -> mc.MonomialIde
 
 
 def _cmd_cohomology(args: argparse.Namespace) -> int:
-    I = _load_ideal(args)
-    lo, hi = _parse_powers(args.powers)
+    I, lo, hi = _checked_inputs(args, module=args.at is None)
     i_list = _requested_is(args, args.d)
     if args.at is not None:
         a = _parse_degree_vector(args.at, args.d)
@@ -196,15 +219,18 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
         _emit("n,i,char,finite_length,G,a_plus,dim")
     for n in range(lo, hi + 1):
         J = _power_ideal(I, n, args.saturated)
-        for i in i_list:
-            try:
-                table = tk.cohomology_table(
-                    J, i, args.char, pattern_cap=args.pattern_cap
-                )
-            except ResourceCapError as exc:
-                raise ResourceCapError(
-                    f"power n={n}: {exc}", required=exc.required, cap=exc.cap
-                ) from exc
+        try:
+            if args.i == "all":
+                tables = tk.cohomology_tables(
+                    J, i_list, args.char, pattern_cap=args.pattern_cap)
+            else:
+                tables = {i: tk.cohomology_table(
+                    J, i, args.char, pattern_cap=args.pattern_cap) for i in i_list}
+        except ResourceCapError as exc:
+            raise ResourceCapError(
+                f"power n={n}: {exc}", required=exc.required, cap=exc.cap
+            ) from exc
+        for i, table in tables.items():
             if args.fmt == "json":
                 buffered.append({"n": n, "table": table.to_dict()})
             elif args.fmt == "csv":
@@ -227,12 +253,7 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
 
 
 def _sequence_report(args: argparse.Namespace) -> asy.PowerSequenceReport:
-    I = _load_ideal(args)
-    lo, hi = _parse_powers(args.powers)
-    if lo != 1:
-        raise ValueError(
-            "sequence commands need a contiguous range from 1, e.g. '1..4'"
-        )
+    I, hi = _sequence_inputs(args)
     return asy.power_sequence(
         I,
         args.i,
@@ -245,14 +266,9 @@ def _sequence_report(args: argparse.Namespace) -> asy.PowerSequenceReport:
 
 def _cmd_indeg(args: argparse.Namespace) -> int:
     if args.fmt == "csv":
-        _emit(asy.CSV_HEADER)
         # recompute row by row so output streams as powers finish
-        I = _load_ideal(args)
-        lo, hi = _parse_powers(args.powers)
-        if lo != 1:
-            raise ValueError(
-                "sequence commands need a contiguous range from 1, e.g. '1..4'"
-            )
+        I, hi = _sequence_inputs(args)
+        _emit(asy.CSV_HEADER)
         rows = []
         for n in range(1, hi + 1):
             row, _ = asy._row_for_power(
@@ -346,8 +362,7 @@ def _cmd_dichotomy(args: argparse.Namespace) -> int:
 
 
 def _cmd_reg(args: argparse.Namespace) -> int:
-    I = _load_ideal(args)
-    lo, hi = _parse_powers(args.powers)
+    I, lo, hi = _checked_inputs(args)
     if lo != 1:
         raise ValueError("reg needs a contiguous range from 1, e.g. '1..6'")
     if args.saturated:

@@ -356,11 +356,20 @@ def project(I: MonomialIdeal, F: Iterable[int]) -> MonomialIdeal:
 
 
 def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
-    """I^n for n >= 1, minimalizing after every multiplication."""
+    """I^n for n >= 1, minimalizing after every multiplication.
+
+    Raises ValueError when an exponent of I^n would not fit in int64.
+    """
     if n < 1:
         raise ValueError("power requires n >= 1")
     if n == 1 or I.is_zero or I.is_unit:
         return I
+    for j, r in enumerate(var_degree_bounds(I).rho):
+        if r * n > _INT64_MAX:
+            raise ValueError(
+                f"exponent overflow: x{j + 1} reaches exponent {r}*{n} = "
+                f"{r * n} in I^{n}, beyond the int64 limit {_INT64_MAX}"
+            )
     result = I
     for _ in range(n - 1):
         cand = (result._exps[:, None, :] + I._exps[None, :, :]).reshape(-1, I.d)
@@ -479,7 +488,8 @@ def krull_dimension(I: MonomialIdeal) -> int:
         raise ValueError(f"face enumeration is capped at d <= {MAX_VARIABLES}")
     if I.is_zero:
         return I.d
-    supports = [int(np.sum(1 << np.nonzero(row)[0])) for row in I._exps]
+    bits = np.left_shift(1, np.arange(I.d, dtype=np.int64))
+    supports = np.unique((I._exps > 0).astype(np.int64) @ bits)
     masks = np.arange(1 << I.d, dtype=np.int64)
     nonface = np.zeros(masks.shape, dtype=bool)
     for s in supports:

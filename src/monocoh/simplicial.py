@@ -288,14 +288,14 @@ def _matrix_rank(mat: np.ndarray, char: int) -> int:
     return _kernels.gf_rank(mat, char)
 
 
-def homology_dims_from_masks(
-    face_masks: Iterable[int], char: int
+def _reduced_homology(
+    face_masks: Iterable[int], degrees: Iterable[int] | None, char: int
 ) -> dict[int, int]:
-    """Reduced homology dimensions of the complex with the given face set.
+    """Nonzero dims of H~_q for q in ``degrees`` (every degree when None).
 
-    The face set must be downward closed and include mask 0 (the empty face)
-    unless it is empty, in which case the complex is void and everything
-    vanishes. Only nonzero degrees appear in the result.
+    Only the boundary ranks around the requested degrees are computed, each
+    once, so adjacent degrees share the rank between them. The rank of the
+    augmentation (vertices to the empty face) is 1 whenever there is a vertex.
     """
     masks = sorted(set(int(m) for m in face_masks))
     if not masks:
@@ -306,42 +306,44 @@ def homology_dims_from_masks(
     for m in masks:
         by_dim.setdefault(m.bit_count() - 1, []).append(m)
     top = max(by_dim)
-    ranks: dict[int, int] = {}
-    for q in range(0, top + 1):
-        ranks[q] = _matrix_rank(
-            _boundary_matrix(by_dim.get(q - 1, []), by_dim.get(q, [])), char
-        )
+    wanted = range(-1, top + 1) if degrees is None else sorted(set(degrees))
+    # ranks[q]: rank of the boundary map from the q-cells to the (q-1)-cells
+    ranks: dict[int, int] = {-1: 0, 0: 1 if 0 in by_dim else 0}
+
+    def rank(q: int) -> int:
+        if q not in ranks:
+            ranks[q] = _matrix_rank(
+                _boundary_matrix(by_dim.get(q - 1, []), by_dim.get(q, [])), char
+            )
+        return ranks[q]
+
     dims: dict[int, int] = {}
-    for q in range(-1, top + 1):
-        n_q = len(by_dim.get(q, []))
-        val = n_q - ranks.get(q, 0) - ranks.get(q + 1, 0)
-        if val:
-            dims[q] = val
+    for q in wanted:
+        cells = by_dim.get(q)
+        if cells:
+            val = len(cells) - rank(q) - rank(q + 1)
+            if val:
+                dims[q] = val
     return dims
 
 
-def homology_dim_single(face_masks: Iterable[int], q: int, char: int) -> int:
-    """dim H~_q of the complex with the given downward-closed face set.
+def homology_dims_from_masks(
+    face_masks: Iterable[int], char: int, degrees: Iterable[int] | None = None
+) -> dict[int, int]:
+    """Reduced homology dimensions of the complex with the given face set,
+    in the given degrees (all when None); only nonzero degrees appear.
 
-    Cheaper than the full profile: only the two boundary ranks around q are
-    computed, and the q = -1 case short-circuits to the irrelevant test.
+    The face set must be downward closed and include mask 0 (the empty face)
+    unless it is empty, in which case the complex is void and everything
+    vanishes.
     """
-    masks = set(int(m) for m in face_masks)
-    if not masks or 0 not in masks:
-        return 0
-    if q < -1:
-        return 0
-    by_dim: dict[int, list[int]] = {}
-    for m in sorted(masks):
-        by_dim.setdefault(m.bit_count() - 1, []).append(m)
-    if q == -1:
-        return 0 if by_dim.get(0) else 1
-    cells = by_dim.get(q, [])
-    if not cells:
-        return 0
-    rank_q = _matrix_rank(_boundary_matrix(by_dim.get(q - 1, []), cells), char)
-    rank_q1 = _matrix_rank(_boundary_matrix(cells, by_dim.get(q + 1, [])), char)
-    return len(cells) - rank_q - rank_q1
+    return _reduced_homology(face_masks, degrees, char)
+
+
+def homology_dim_single(face_masks: Iterable[int], q: int, char: int) -> int:
+    """dim H~_q of the complex with the given downward-closed face set; only
+    the two boundary ranks around q are computed."""
+    return _reduced_homology(face_masks, (q,), char).get(q, 0)
 
 
 def reduced_homology_dims(K: SimplicialComplex, char: int) -> HomologyProfile:

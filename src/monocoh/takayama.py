@@ -42,6 +42,7 @@ from .simplicial import (
     _validate_char,
     _validate_d,
     homology_dim_single,
+    homology_dims_from_masks,
     stanley_reisner_complex,
 )
 
@@ -279,54 +280,78 @@ def _row_word(row: np.ndarray) -> int:
     return sum(int(w) << (64 * k) for k, w in enumerate(row))
 
 
-def cohomology_table(
+def _require_inside_box(
+    a_plus: np.ndarray, rho: tuple[int, ...], G: tuple[int, ...], i: int
+) -> None:
+    """Raise InternalConsistencyError if a nonzero entry sits on the clamping
+    boundary a⁺_j = rho_j >= 1 (impossible for correct data: local
+    cohomology is Artinian, and such a pattern would repeat in unboundedly
+    high degrees). Rows of ``a_plus`` are 0 on G, so G never matches."""
+    rho_arr = np.asarray(rho, dtype=np.int64)
+    on_edge = ((a_plus == rho_arr) & (rho_arr >= 1)).any(axis=1)
+    if on_edge.any():
+        pat = DegreePattern(tuple(a_plus[np.argmax(on_edge)].tolist()), G)
+        raise InternalConsistencyError(
+            f"nonzero entry at the clamping boundary: pattern "
+            f"{pat} with rho={rho} (i={i}); local cohomology is "
+            f"Artinian, so this indicates a bug"
+        )
+
+
+def cohomology_tables(
     I: MonomialIdeal,
-    i: int,
+    i_values: Iterable[int],
     char: int = 0,
     pattern_cap: int = DEFAULT_PATTERN_CAP,
-) -> CohomologyTable:
-    """Scan every degree pattern and collect the nonzero dimensions.
+) -> dict[int, CohomologyTable]:
+    """The tables of every requested i from one scan of the degree patterns.
 
-    Subsets G are visited by increasing size then lexicographic order, and
-    for each G the clamped a⁺ box is swept in C order. Sizes |G| > i are
-    skipped outright: their homology degree i - |G| - 1 is below -1, so
-    they contribute nothing and the stored table is unchanged.
+    Δ_a(I) depends on (G, a⁺) only, so each G with |G| <= max i is scanned
+    once. Subsets G are visited by increasing size then lexicographic order,
+    and for each G the clamped a⁺ box is swept in C order. The candidate
+    faces are those the widest requested homology degree at that G needs
+    (|F| <= q + 2 with q = i - |G| - 1), and each unique complex yields
+    H~_q for every requested q, filed under i = q + |G| + 1. Sizes |G| > i
+    contribute nothing to table i: their homology degree is below -1.
 
-    Raises ResourceCapError when the pattern count would exceed
-    ``pattern_cap``, and InternalConsistencyError if a nonzero entry sits on
-    the clamping boundary (impossible for correct data: local cohomology is
-    Artinian, and such a pattern would repeat in unboundedly high degrees).
+    Raises ResourceCapError, naming the first i over ``pattern_cap``, before
+    anything is scanned, and InternalConsistencyError if a nonzero entry of
+    any table sits on the clamping boundary (checked on every block of
+    entries as it is filed).
     """
     _require_module(I)
     d = _validate_d(I.d)
-    i = _validate_i(d, i)
+    i_list = sorted({_validate_i(d, i) for i in i_values})
     char = _validate_char(char)
+    if not i_list:
+        return {}
     rho = var_degree_bounds(I).rho
-    max_g = min(i, d)
-    npatterns = _pattern_count(rho, d, max_g)
-    if npatterns > pattern_cap:
-        raise ResourceCapError(
-            f"degree-pattern count {npatterns} for i={i} exceeds the cap "
-            f"{pattern_cap}",
-            required=npatterns,
-            cap=pattern_cap,
-        )
+    for i in i_list:
+        npatterns = _pattern_count(rho, d, i)
+        if npatterns > pattern_cap:
+            raise ResourceCapError(
+                f"degree-pattern count {npatterns} for i={i} exceeds the cap "
+                f"{pattern_cap}",
+                required=npatterns,
+                cap=pattern_cap,
+            )
     box = membership_box(I)
     all_faces = sorted(stanley_reisner_complex(I).face_masks())
-    entries: dict[DegreePattern, int] = {}
-    memo: dict[tuple, int] = {}
-    for g_size in range(0, max_g + 1):
-        q = i - g_size - 1
+    entries: dict[int, dict[DegreePattern, int]] = {i: {} for i in i_list}
+    memo: dict[tuple, dict[int, int]] = {}
+    for g_size in range(0, i_list[-1] + 1):
+        qs = tuple(i - g_size - 1 for i in i_list if i >= g_size)
         for g_combo in combinations(range(d), g_size):
             gmask = 0
             for j in g_combo:
                 gmask |= 1 << j
             free_axes = [j for j in range(d) if not gmask >> j & 1]
-            # cells beyond dimension q+1 cannot affect H~_q
+            # cells beyond dimension q+1 cannot affect H~_q: the widest
+            # requested q at this G decides
             cand = [
                 f
                 for f in all_faces
-                if not f & gmask and f.bit_count() <= q + 2
+                if not f & gmask and f.bit_count() <= qs[-1] + 2
             ]
             face_axes = [
                 tuple(j for j in range(d) if f >> j & 1) for f in cand
@@ -335,44 +360,51 @@ def cohomology_table(
             _, first, inverse = np.unique(
                 _row_keys(masks), return_index=True, return_inverse=True
             )
-            dims_u = np.zeros(first.size, dtype=np.int64)
+            dims_u = np.zeros((len(qs), first.size), dtype=np.int64)
             for u, p in enumerate(first):
                 word = _row_word(masks[p])
-                present = [cand[f] for f in range(len(cand)) if word >> f & 1]
-                key = (q, tuple(present))
+                present = tuple(cand[f] for f in range(len(cand)) if word >> f & 1)
+                key = (qs, present)
                 if key not in memo:
-                    memo[key] = homology_dim_single(present, q, char)
-                dims_u[u] = memo[key]
-            dims_flat = dims_u[inverse]
-            hits = np.nonzero(dims_flat)[0]
-            if hits.size == 0:
-                continue
+                    memo[key] = homology_dims_from_masks(present, char, qs)
+                dims_u[:, u] = [memo[key].get(q, 0) for q in qs]
             sub_shape = tuple(box.shape[j] for j in free_axes)
-            coords = np.unravel_index(hits, sub_shape) if free_axes else ()
-            for t, flat_idx in enumerate(hits):
-                a_plus = [0] * d
-                for ax_pos, j in enumerate(free_axes):
-                    a_plus[j] = int(coords[ax_pos][t])
-                pat = DegreePattern(
-                    a_plus=tuple(a_plus),
-                    G=tuple(j + 1 for j in g_combo),
-                )
-                entries[pat] = int(dims_flat[flat_idx])
-    for pat in entries:
-        g_set = set(pat.G)
-        for j in range(d):
-            if j + 1 in g_set:
-                continue
-            if rho[j] >= 1 and pat.a_plus[j] == rho[j]:
-                raise InternalConsistencyError(
-                    f"nonzero entry at the clamping boundary: pattern "
-                    f"{pat} with rho={rho} (i={i}); local cohomology is "
-                    f"Artinian, so this indicates a bug"
-                )
-    finite_length = all(not p.G for p in entries)
-    return CohomologyTable(
-        i=i, char=char, entries=entries, rho=tuple(rho), finite_length=finite_length
-    )
+            G = tuple(j + 1 for j in g_combo)
+            for k, q in enumerate(qs):
+                i = q + g_size + 1
+                dims_flat = dims_u[k][inverse]
+                hits = np.nonzero(dims_flat)[0]
+                if hits.size == 0:
+                    continue
+                a_plus = np.zeros((hits.size, d), dtype=np.int64)
+                if free_axes:
+                    a_plus[:, free_axes] = np.stack(
+                        np.unravel_index(hits, sub_shape), axis=1
+                    )
+                _require_inside_box(a_plus, rho, G, i)
+                for row, dim in zip(a_plus.tolist(), dims_flat[hits].tolist()):
+                    entries[i][DegreePattern(a_plus=tuple(row), G=G)] = dim
+    return {
+        i: CohomologyTable(
+            i=i,
+            char=char,
+            entries=entries[i],
+            rho=tuple(rho),
+            finite_length=all(not p.G for p in entries[i]),
+        )
+        for i in i_list
+    }
+
+
+def cohomology_table(
+    I: MonomialIdeal,
+    i: int,
+    char: int = 0,
+    pattern_cap: int = DEFAULT_PATTERN_CAP,
+) -> CohomologyTable:
+    """H^i_m(R/I) as a table of degree patterns: ``cohomology_tables`` for
+    the one degree i."""
+    return cohomology_tables(I, (i,), char, pattern_cap)[int(i)]
 
 
 def is_finite_length(
@@ -426,10 +458,10 @@ def regularity(
     stops there; non-vanishing at dim R/I itself guarantees a finite answer.
     """
     _require_module(I)
-    top = krull_dimension(I)
+    tables = cohomology_tables(I, range(krull_dimension(I) + 1), char, pattern_cap)
     best: int | None = None
-    for i in range(0, top + 1):
-        td = table_topdeg(cohomology_table(I, i, char, pattern_cap))
+    for i, table in tables.items():
+        td = table_topdeg(table)
         if td.is_finite:
             cand = int(td.value) + i
             best = cand if best is None or cand > best else best

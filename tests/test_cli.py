@@ -176,6 +176,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2 and "exceeds" in err
 
+    def test_power_exponent_overflow_is_2(self, capsys):
+        # x1^(2**62) squared wraps int64; the message names the overflow
+        code = cli.main(["cohomology", "--ideal", "x1^4611686018427387904*x2",
+                         "--d", "2", "--i", "1", "--powers", "2..2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "exponent overflow: x1" in captured.err
+        assert "int64" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["cohomology", "--i", "1", "--char", "4"],
+        ["cohomology", "--i", "all", "--char", "4"],
+        ["indeg", "--i", "1", "--char", "4"],
+        ["indeg", "--i", "9"],
+        ["indeg", "--i", "1", "--powers", "2..3"],
+        ["reg", "--char", "4"],
+        ["reg", "--powers", "0..2"],
+    ], ids=lambda a: "-".join(a).replace("--", ""))
+    def test_rejected_command_prints_nothing(self, capsys, argv):
+        code = cli.main(argv + ["--ideal", "x1*x2", "--d", "2",
+                                "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_char_above_bound_is_2(self, capsys):
         code = cli.main(["cohomology", "--ideal", "x1*x2", "--d", "2",
                          "--i", "1", "--char", "4294967311"])
@@ -197,6 +222,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert "n=3" in err and "i=1" in err and "10" in err
+
+    def test_cap_between_degrees_is_3_before_any_scan(self, capsys,
+                                                      monkeypatch):
+        # C_5 has rho = 1: i=0 scans 32 patterns, i=1 scans 112
+        scanned = []
+        monkeypatch.setattr(cli.tk._kernels, "scan_face_masks",
+                            lambda *a, **k: scanned.append(a))
+        code = cli.main(["cohomology", "--ideal", CYCLE5, "--d", "5",
+                         "--i", "all", "--pattern-cap", "100"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and scanned == []
+        assert "n=1" in captured.err and "i=1" in captured.err
+        assert "cap 100" in captured.err
 
     def test_internal_consistency_is_4(self, capsys, monkeypatch):
         def boom(*a, **k):

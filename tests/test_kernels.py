@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -103,6 +104,34 @@ class TestScanFaceMasks:
             a = kr.scan_face_masks(box, free, g_axes, faces, backend="numpy")
             b = kr.scan_face_masks(box, free, g_axes, faces, backend="numba")
             assert np.array_equal(a, b)
+
+
+class TestScanAgainstProbes:
+    @pytest.mark.parametrize("g_count", [0, 1, 3])
+    def test_bits_are_box_probes(self, g_count):
+        # every bit against a direct probe of the box, with more than 64
+        # faces so that faces land in the second mask word
+        rng = np.random.default_rng(40 + g_count)
+        d = 7
+        shape = tuple(int(x) for x in rng.integers(1, 4, size=d))
+        box = random_box(rng, shape)
+        kr.upward_close(box)
+        g_axes = sorted(rng.choice(d, size=g_count, replace=False).tolist())
+        free = [j for j in range(d) if j not in g_axes]
+        faces = [f for k in range(len(free) + 1)
+                 for f in combinations(free, k)][:80]
+        masks = kr.scan_face_masks(box, free, g_axes, faces, backend="numpy")
+        sub = [shape[j] for j in free]
+        assert masks.shape == (int(np.prod(sub)), (len(faces) + 63) // 64)
+        for p, a in enumerate(np.ndindex(*sub)):
+            for f_i, f in enumerate(faces):
+                probe = [0] * d
+                for t, j in enumerate(free):
+                    probe[j] = a[t]
+                for j in g_axes + list(f):
+                    probe[j] = shape[j] - 1
+                bit = int(masks[p, f_i >> 6]) >> (f_i & 63) & 1
+                assert bit == (box[tuple(probe)] == 0)
 
 
 class TestRanks:

@@ -1,5 +1,7 @@
 """Parsing, ideal arithmetic, saturation, Hilbert function, dimension."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,14 @@ class TestPowerContains:
                 got = {tuple(r) for r in power(I, n).exponent_matrix.tolist()}
                 assert got == oracles.brute_power(I, n)
 
+    def test_power_exponent_overflow_named(self):
+        I = parse_ideal("x1^4611686018427387904*x2", 2)
+        with pytest.raises(ValueError, match="exponent overflow: x1"):
+            power(I, 2)
+        # the bound is exact: 2 * (2**62 - 1) still fits in int64
+        J = parse_ideal("x1^4611686018427387903*x2", 2)
+        assert power(J, 2).exponent_matrix.tolist() == [[2**63 - 2, 2]]
+
     def test_contains_spec(self):
         I = parse_ideal("x1*x2", 2)
         assert contains(I, (2, 1))
@@ -251,6 +261,20 @@ class TestHilbertKrull:
         assert krull_dimension(parse_ideal("x1, x2", 2)) == 0
         assert krull_dimension(parse_ideal("0", 3)) == 3
         assert krull_dimension(cycle_ideal(5)) == 2
+
+    def test_krull_against_brute(self, small_corpus):
+        for I in small_corpus + corpus(4242, 20, (5, 6), max_gens=8):
+            supports = [
+                {j for j, e in enumerate(row) if e}
+                for row in I.exponent_matrix.tolist()
+            ]
+            want = max(
+                k
+                for k in range(I.d + 1)
+                for S in combinations(range(I.d), k)
+                if not any(s <= set(S) for s in supports)
+            )
+            assert krull_dimension(I) == want
 
 
 class TestIdealObject:

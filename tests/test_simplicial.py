@@ -9,9 +9,11 @@ from monocoh.monomial_core import parse_ideal
 from monocoh.simplicial import (
     MAX_CHAR,
     SimplicialComplex,
+    _reduced_homology,
     _validate_char,
     from_facets,
     homology_dim_single,
+    homology_dims_from_masks,
     reduced_homology_dims,
     stanley_reisner_complex,
     stanley_reisner_ideal,
@@ -200,6 +202,33 @@ class TestHomologyAgainstOracle:
                 want = oracles.reduced_homology_oracle(faces, q, char)
                 got = homology_dim_single(K.face_masks(), q, char)
                 assert got == want, (K.facets, q, char)
+
+    @pytest.mark.parametrize("char", [0, 2, 3])
+    def test_degree_subsets(self, char):
+        # only the requested degrees are computed, sharing adjacent ranks
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            d = int(rng.integers(2, 7))
+            K = random_complex(rng, d)
+            faces = oracles.downward_closure(list(K.facets))
+            want = {q: oracles.reduced_homology_oracle(faces, q, char)
+                    for q in range(-1, d)}
+            for _ in range(4):
+                k = int(rng.integers(1, d + 3))
+                degs = [int(q) for q in rng.choice(
+                    np.arange(-2, d + 1), size=k, replace=False)]
+                expected = {q: want[q] for q in degs if want.get(q)}
+                assert _reduced_homology(K.face_masks(), degs, char) == expected
+                assert homology_dims_from_masks(
+                    K.face_masks(), char, degs) == expected
+            everything = {q: v for q, v in want.items() if v}
+            assert _reduced_homology(K.face_masks(), None, char) == everything
+            assert homology_dims_from_masks(K.face_masks(), char) == everything
+
+    def test_empty_face_required(self):
+        assert _reduced_homology(set(), (0, 1), 0) == {}
+        with pytest.raises(ValueError, match="empty face"):
+            homology_dims_from_masks({1, 2}, 0, (0,))
 
     def test_euler_characteristic(self):
         rng = np.random.default_rng(16)

@@ -1,8 +1,11 @@
 """Degree complexes, cohomology tables, and the degree invariants."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
+from monocoh import _kernels
 from monocoh.errors import ResourceCapError, UnitIdealError
 from monocoh.monomial_core import (
     krull_dimension,
@@ -18,6 +21,7 @@ from monocoh.takayama import (
     ExtendedDegree,
     cohomology_dim_at,
     cohomology_table,
+    cohomology_tables,
     degree_complex,
     indeg,
     is_finite_length,
@@ -273,6 +277,80 @@ class TestHochsterOracle:
             want = oracles.hochster_table_oracle(I, i, char)
             assert entry_map(cohomology_table(I, i, char)) == want
         assert len(want) == 7
+
+
+class TestOneScan:
+    """cohomology_tables: one scan of the degree patterns for every i."""
+
+    @pytest.mark.parametrize("char", [0, 2])
+    def test_all_degrees_match_links(self, squarefree_corpus, char):
+        for I in squarefree_corpus:
+            tables = cohomology_tables(I, range(I.d + 1), char)
+            assert sorted(tables) == list(range(I.d + 1))
+            for i, t in tables.items():
+                assert t.i == i and t.char == char
+                assert entry_map(t) == oracles.hochster_table_oracle(I, i, char)
+
+    @pytest.mark.parametrize("d,n", [(5, 2), (5, 3), (6, 2)])
+    def test_all_degrees_match_cycle_oracle(self, d, n):
+        J = saturate_irrelevant(power(cycle_ideal(d), n))
+        tables = cohomology_tables(J, range(d + 1), 0)
+        for i, t in tables.items():
+            assert entry_map(t) == oracles.cycle_table_oracle(d, n, i, 0), i
+
+    def test_single_degree_views(self, small_corpus):
+        for I in small_corpus[:30]:
+            every = cohomology_tables(I, range(I.d + 1), 0)
+            some = cohomology_tables(I, [I.d, 0], 0)
+            assert sorted(some) == [0, I.d]
+            for i, t in every.items():
+                one = cohomology_table(I, i, 0)
+                assert one == t and one.finite_length == t.finite_length
+                if i in some:
+                    assert some[i] == t
+
+    def test_regularity_scans_each_g_once(self, small_corpus, monkeypatch):
+        calls = []
+        scan = _kernels.scan_face_masks
+
+        def counting(box, free_axes, g_axes, faces, backend=None):
+            calls.append(tuple(g_axes))
+            return scan(box, free_axes, g_axes, faces, backend)
+
+        monkeypatch.setattr(_kernels, "scan_face_masks", counting)
+        for J in small_corpus[:20] + [cycle_ideal(6)]:
+            calls.clear()
+            regularity(J, 0)
+            top = krull_dimension(J)
+            assert len(calls) == len(set(calls))
+            assert len(calls) == sum(comb(J.d, g) for g in range(top + 1))
+            assert max(len(g) for g in calls) == top
+
+    def test_cap_names_first_degree_over_it(self, monkeypatch):
+        I = cycle_ideal(5)  # rho = 1: 32 patterns at i=0, 112 at i=1
+        scanned = []
+        monkeypatch.setattr(
+            _kernels, "scan_face_masks", lambda *a, **k: scanned.append(a))
+        with pytest.raises(ResourceCapError, match="i=1 exceeds the cap 100"):
+            cohomology_tables(I, range(6), 0, pattern_cap=100)
+        assert scanned == []
+
+    def test_clamping_boundary_check(self):
+        from monocoh.errors import InternalConsistencyError
+        from monocoh.takayama import _require_inside_box
+
+        rho = (2, 0, 3)
+        _require_inside_box(np.array([[1, 0, 2], [0, 0, 0]]), rho, (), 1)
+        with pytest.raises(InternalConsistencyError, match=r"a_plus=\(0, 0, 3\)"):
+            _require_inside_box(np.array([[1, 0, 2], [0, 0, 3]]), rho, (), 2)
+        with pytest.raises(InternalConsistencyError, match="i=2"):
+            _require_inside_box(np.array([[2, 0, 0]]), rho, (3,), 2)
+
+    def test_rejects_bad_degree_and_empty_request(self):
+        I = parse_ideal("x1*x2", 2)
+        with pytest.raises(ValueError):
+            cohomology_tables(I, [0, 3], 0)
+        assert cohomology_tables(I, [], 0) == {}
 
 
 class TestExtendedDegreeInvariants:
