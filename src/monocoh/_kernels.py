@@ -7,8 +7,9 @@ matrices, and small integer matrices for exact rank computations.
 Backend selection: the ``MONOCOH_BACKEND`` environment variable may be set
 to ``numba`` or ``numpy``. Unset (or ``auto``) picks numba when it imports,
 falling back to pure numpy otherwise. Every public kernel also accepts a
-``backend=`` override so the two implementations can be compared directly
-(see ``benchmarks/bench_backends.py``).
+``backend=`` override so the two implementations can be compared directly.
+End-to-end and per-kernel timings come from the benchmark,
+``python3 perfbench/run.py`` (it pins the numpy backend).
 
 All kernels are deterministic and, numba compilation aside, allocation-light.
 """

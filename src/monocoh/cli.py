@@ -64,11 +64,14 @@ def _load_ideal(args: argparse.Namespace) -> mc.MonomialIdeal:
 def _checked_inputs(
     args: argparse.Namespace, module: bool = True
 ) -> tuple[mc.MonomialIdeal, int, int]:
-    """The ideal and the power range, with the ideal (when ``module``) and
-    the characteristic validated, so a rejected command writes no output."""
+    """The ideal and the power range, with the ideal (a module when
+    ``module``, else not the unit ideal) and the characteristic validated, so
+    a rejected command writes no output."""
     I = _load_ideal(args)
     if module:
         tk._require_module(I)
+    else:
+        tk._require_not_unit(I)
     lo, hi = _parse_powers(args.powers)
     _validate_char(args.char)
     return I, lo, hi
@@ -188,6 +191,12 @@ def _power_ideal(I: mc.MonomialIdeal, n: int, saturated: bool) -> mc.MonomialIde
     return J
 
 
+def _zero_table(i: int, char: int) -> tk.CohomologyTable:
+    """The table of H^i_m(R/J) when J is the unit ideal: the saturation of
+    an irrelevant-primary power, whose quotient is the zero module."""
+    return tk.CohomologyTable(i=i, char=char, entries={}, rho=(), finite_length=True)
+
+
 def _cmd_cohomology(args: argparse.Namespace) -> int:
     I, lo, hi = _checked_inputs(args, module=args.at is None)
     i_list = _requested_is(args, args.d)
@@ -197,7 +206,7 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
         for n in range(lo, hi + 1):
             J = _power_ideal(I, n, args.saturated)
             for i in i_list:
-                dim = tk.cohomology_dim_at(J, i, a, args.char)
+                dim = 0 if J.is_unit else tk.cohomology_dim_at(J, i, a, args.char)
                 results.append((n, i, dim))
         if args.fmt == "json":
             _emit(json.dumps(
@@ -220,7 +229,9 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
     for n in range(lo, hi + 1):
         J = _power_ideal(I, n, args.saturated)
         try:
-            if args.i == "all":
+            if J.is_unit:
+                tables = {i: _zero_table(i, args.char) for i in i_list}
+            elif args.i == "all":
                 tables = tk.cohomology_tables(
                     J, i_list, args.char, pattern_cap=args.pattern_cap)
             else:

@@ -288,25 +288,57 @@ def _matrix_rank(mat: np.ndarray, char: int) -> int:
     return _kernels.gf_rank(mat, char)
 
 
+def _has_cone_point(
+    by_dim: dict[int, list[int]], faces: set[int], size: int
+) -> bool:
+    """True when some vertex v has F | v in ``faces`` for every face F of at
+    most ``size`` vertices (F = ∅ asks that v be a vertex)."""
+    apex = 0
+    for m in by_dim.get(0, ()):
+        apex |= m
+    for q in range(0, size):
+        for f in by_dim.get(q, ()):
+            rest = apex & ~f
+            while rest:
+                v = rest & -rest
+                if f | v not in faces:
+                    apex ^= v
+                rest ^= v
+            if not apex:
+                return False
+    return apex != 0
+
+
 def _reduced_homology(
     face_masks: Iterable[int], degrees: Iterable[int] | None, char: int
 ) -> dict[int, int]:
     """Nonzero dims of H~_q for q in ``degrees`` (every degree when None).
 
-    Only the boundary ranks around the requested degrees are computed, each
-    once, so adjacent degrees share the rank between them. The rank of the
-    augmentation (vertices to the empty face) is 1 whenever there is a vertex.
+    Cone rule: with q_max the largest requested degree, if some vertex v has
+    F | v a face for every face F with |F| <= q_max + 1, then c(F) = [v, F]
+    satisfies ∂c + c∂ = id on the augmented chains through degree q_max, so
+    every requested H~_q vanishes and no boundary matrix is built. Only faces
+    up to that size are asked about, so the rule holds for a face set
+    truncated above |F| = q_max + 2 (a hollow triangle is coned through
+    degree 0 but not degree 1).
+
+    Otherwise only the boundary ranks around the requested degrees are
+    computed, each once, so adjacent degrees share the rank between them. The
+    rank of the augmentation (vertices to the empty face) is 1 whenever there
+    is a vertex.
     """
-    masks = sorted(set(int(m) for m in face_masks))
-    if not masks:
+    faces = set(int(m) for m in face_masks)
+    if not faces:
         return {}
-    if masks[0] != 0:
+    if 0 not in faces:
         raise ValueError("a nonvoid face set must contain the empty face")
     by_dim: dict[int, list[int]] = {}
-    for m in masks:
+    for m in sorted(faces):
         by_dim.setdefault(m.bit_count() - 1, []).append(m)
     top = max(by_dim)
     wanted = range(-1, top + 1) if degrees is None else sorted(set(degrees))
+    if not wanted or _has_cone_point(by_dim, faces, max(wanted) + 1):
+        return {}
     # ranks[q]: rank of the boundary map from the q-cells to the (q-1)-cells
     ranks: dict[int, int] = {-1: 0, 0: 1 if 0 in by_dim else 0}
 
@@ -341,8 +373,9 @@ def homology_dims_from_masks(
 
 
 def homology_dim_single(face_masks: Iterable[int], q: int, char: int) -> int:
-    """dim H~_q of the complex with the given downward-closed face set; only
-    the two boundary ranks around q are computed."""
+    """dim H~_q of the complex with the given downward-closed face set: 0
+    without any rank work when the faces through dimension q are coned, else
+    from the two boundary ranks around q."""
     return _reduced_homology(face_masks, (q,), char).get(q, 0)
 
 

@@ -109,6 +109,50 @@ class TestCohomology:
         assert code == 0
         assert json.loads(out)[0]["table"]["entries"] == []
 
+    # (x1^2, x2) is primary to the maximal ideal: every power saturates to
+    # the unit ideal, so each table is that of the zero module
+    SATURATES_TO_UNIT = ("cohomology", "--ideal", "x1^2, x2", "--d", "2",
+                         "--saturated")
+
+    def test_saturated_unit_power_text(self, capsys):
+        code, out = run_cli(capsys, *self.SATURATES_TO_UNIT, "--i", "0")
+        assert code == 0
+        assert out == "# n=1 i=0 char=0 finite_length=true entries=0\n"
+
+    def test_saturated_unit_power_json(self, capsys):
+        code, out = run_cli(capsys, *self.SATURATES_TO_UNIT, "--i", "0",
+                            "--format", "json")
+        assert code == 0
+        assert json.loads(out) == [{"n": 1, "table": {
+            "i": 0, "char": 0, "finite_length": True, "entries": []}}]
+
+    def test_saturated_unit_power_csv(self, capsys):
+        code, out = run_cli(capsys, *self.SATURATES_TO_UNIT, "--i", "0",
+                            "--format", "csv")
+        assert code == 0
+        assert out == "n,i,char,finite_length,G,a_plus,dim\n"
+
+    def test_saturated_unit_power_i_all(self, capsys):
+        code, out = run_cli(capsys, *self.SATURATES_TO_UNIT, "--i", "all",
+                            "--powers", "1..2", "--format", "json")
+        assert code == 0
+        assert [(e["n"], e["table"]) for e in json.loads(out)] == [
+            (n, {"i": i, "char": 0, "finite_length": True, "entries": []})
+            for n in (1, 2) for i in (0, 1, 2)]
+
+    def test_saturated_unit_power_at(self, capsys):
+        code, out = run_cli(capsys, *self.SATURATES_TO_UNIT, "--i", "all",
+                            "--at", "(-1,0)")
+        assert code == 0
+        assert out == "".join(
+            f"n=1 i={i} a=(-1,0) dim=0\n" for i in (0, 1, 2))
+
+    def test_at_on_unit_ideal_is_2(self, capsys):
+        code = cli.main(["cohomology", "--ideal", "1", "--d", "2", "--i", "0",
+                         "--at", "(0,0)", "--saturated"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+
 
 class TestSequenceCommands:
     def test_indeg_csv_golden(self, capsys):

@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from monocoh import simplicial
 from monocoh.monomial_core import parse_ideal
 from monocoh.simplicial import (
     MAX_CHAR,
@@ -24,6 +25,8 @@ from conftest import corpus, cycle_ideal
 
 RP2_FACETS = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
               (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)]
+# boundary of the triangle on vertices 1, 2, 3, as face bitmasks
+HOLLOW_TRIANGLE = {0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110}
 
 
 def random_complex(rng, d):
@@ -189,6 +192,31 @@ class TestHomologyFixtures:
             prof = reduced_homology_dims(coned, 0)
             assert all(prof.dim(q) == 0 for q in range(-1, d + 1))
 
+    def test_cones_make_no_rank_calls(self, monkeypatch):
+        calls = []
+        real_rank = simplicial._matrix_rank
+
+        def counting_rank(mat, char):
+            calls.append(mat.shape)
+            return real_rank(mat, char)
+
+        monkeypatch.setattr(simplicial, "_matrix_rank", counting_rank)
+        rng = np.random.default_rng(14)
+        for _ in range(25):
+            d = int(rng.integers(2, 6))
+            K = random_complex(rng, d)
+            apex = d + 1
+            coned = from_facets(d + 1, [f + (apex,) for f in K.facets])
+            assert reduced_homology_dims(coned, 0).dims == {}
+            masks = coned.face_masks()
+            for q in range(-1, d + 1):
+                truncated = {m for m in masks if m.bit_count() <= q + 2}
+                assert homology_dims_from_masks(truncated, 3, (q,)) == {}
+        assert calls == []
+        # a complex with no cone point through degree 1 still needs ranks
+        assert homology_dims_from_masks(HOLLOW_TRIANGLE, 0, (1,)) == {1: 1}
+        assert calls
+
 
 class TestHomologyAgainstOracle:
     @pytest.mark.parametrize("char", [0, 2, 3])
@@ -224,6 +252,40 @@ class TestHomologyAgainstOracle:
             everything = {q: v for q, v in want.items() if v}
             assert _reduced_homology(K.face_masks(), None, char) == everything
             assert homology_dims_from_masks(K.face_masks(), char) == everything
+
+    @pytest.mark.parametrize("char", [0, 2, 3])
+    def test_truncated_face_sets(self, char):
+        # the homology routine is handed only the faces with |F| <= q_max + 2
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            d = int(rng.integers(2, 7))
+            K = random_complex(rng, d)
+            if rng.integers(2):
+                # a cone over K plus one face off the apex: coned only in
+                # the degrees below that face unless K already holds it
+                size = int(rng.integers(1, d + 1))
+                extra = tuple(sorted(
+                    int(v) for v in rng.choice(d, size=size, replace=False) + 1))
+                K = from_facets(d + 1, [f + (d + 1,) for f in K.facets] + [extra])
+            faces = oracles.downward_closure(list(K.facets))
+            want = {q: oracles.reduced_homology_oracle(faces, q, char)
+                    for q in range(-1, K.d)}
+            masks = K.face_masks()
+            for q in range(-1, K.d):
+                truncated = {m for m in masks if m.bit_count() <= q + 2}
+                for lo in range(-1, q + 1):
+                    degs = range(lo, q + 1)
+                    expected = {k: want[k] for k in degs if want[k]}
+                    got = homology_dims_from_masks(truncated, char, degs)
+                    assert got == expected, (K.facets, degs, char)
+                assert homology_dim_single(truncated, q, char) == want[q]
+
+    def test_hollow_triangle_truncated(self):
+        # coned through degree 0 (every vertex sees the other two) but not 1
+        assert homology_dims_from_masks(HOLLOW_TRIANGLE, 0, (0,)) == {}
+        assert homology_dims_from_masks(HOLLOW_TRIANGLE, 0, (1,)) == {1: 1}
+        assert homology_dims_from_masks(HOLLOW_TRIANGLE, 0, (0, 1)) == {1: 1}
+        assert homology_dims_from_masks(HOLLOW_TRIANGLE, 0, (-1, 0)) == {}
 
     def test_empty_face_required(self):
         assert _reduced_homology(set(), (0, 1), 0) == {}
