@@ -46,6 +46,16 @@ BACKEND = "numba" if HAVE_NUMBA else "numpy"
 # reruns with Python integers.
 _BAREISS_LIMIT = 1 << 31
 
+# Crossovers of the numpy branches, measured on boxes and matrices of the
+# shapes the package produces. An axis of length n is closed by n - 1 slice
+# maxima once the box holds at least this many cells per step along it;
+# below that one ``np.maximum.accumulate`` call is cheaper.
+_SLICE_CLOSE_MIN_STEP_CELLS = 512
+# A char-0 rank on at most this many cells runs the Python-integer
+# elimination directly: below it the per-pivot numpy calls cost more than
+# the arithmetic they vectorise.
+_EXACT_RANK_MAX_CELLS = 512
+
 
 def _resolve(backend: str | None) -> str:
     if backend is None:
@@ -246,6 +256,13 @@ def upward_close(box: np.ndarray, backend: str | None = None) -> None:
 
     After the call, ``box[b] == 1`` iff some originally marked cell divides
     (is coordinatewise <=) ``b``.
+
+    The numpy branch closes one axis at a time. An axis of length ``n`` on
+    which the box holds at least ``_SLICE_CLOSE_MIN_STEP_CELLS`` cells per
+    step (``box.size >= 512 * n``) is closed by ``n - 1`` in-place slice
+    maxima, each hyperplane taking the maximum with the closed one below
+    it; any other axis by one ``np.maximum.accumulate`` call. The choice
+    depends only on the shape, so a 1-D box, however long, is one call.
     """
     if box.size == 0:
         return
@@ -253,10 +270,16 @@ def upward_close(box: np.ndarray, backend: str | None = None) -> None:
     if which == "numba":
         dims = np.asarray(box.shape, dtype=np.int64)
         _upward_close_nb(box.reshape(-1), dims, element_strides(box.shape))
-    else:
-        for ax in range(box.ndim):
-            if box.shape[ax] > 1:
-                np.maximum.accumulate(box, axis=ax, out=box)
+        return
+    for ax, n in enumerate(box.shape):
+        if n <= 1:
+            continue
+        if box.size >= _SLICE_CLOSE_MIN_STEP_CELLS * n:
+            v = np.moveaxis(box, ax, 0)
+            for k in range(1, n):
+                np.maximum(v[k], v[k - 1], out=v[k])
+        else:
+            np.maximum.accumulate(box, axis=ax, out=box)
 
 
 def minimal_cells(box: np.ndarray, backend: str | None = None) -> np.ndarray:
@@ -453,7 +476,15 @@ def bareiss_rank_int64(
 
 
 def bareiss_rank_exact(rows: list[list[int]]) -> int:
-    """Exact fraction-free rank with Python integers; no overflow possible."""
+    """Exact fraction-free rank with Python integers; no overflow possible.
+
+    ``rank_char0`` calls this only when the int64 guard trips, so its call
+    count is the number of big-integer fallbacks.
+    """
+    return _bareiss_rank_python(rows)
+
+
+def _bareiss_rank_python(rows: list[list[int]]) -> int:
     a = [list(map(int, row)) for row in rows]
     r = len(a)
     c = len(a[0]) if r else 0
@@ -487,7 +518,15 @@ def bareiss_rank_exact(rows: list[list[int]]) -> int:
 
 
 def rank_char0(mat: np.ndarray, backend: str | None = None) -> int:
-    """Rank of an integer matrix over Q: fast int64 path, exact fallback."""
+    """Rank of an integer matrix over Q.
+
+    On the numpy backend a matrix of at most ``_EXACT_RANK_MAX_CELLS``
+    (512) cells is eliminated exactly in Python integers. A larger matrix,
+    and every matrix on numba, runs the int64 elimination and falls back to
+    ``bareiss_rank_exact`` when its overflow guard trips.
+    """
+    if _resolve(backend) == "numpy" and mat.size <= _EXACT_RANK_MAX_CELLS:
+        return _bareiss_rank_python(mat.tolist())
     rank, ok = bareiss_rank_int64(mat, backend=backend)
     if ok:
         return rank

@@ -61,12 +61,17 @@ def _load_ideal(args: argparse.Namespace) -> mc.MonomialIdeal:
     return mc.parse_ideal(src, args.d)
 
 
+def _validate_pattern_cap(cap: int) -> None:
+    if cap < 1:
+        raise ValueError(f"--pattern-cap must be at least 1, got {cap}")
+
+
 def _checked_inputs(
     args: argparse.Namespace, module: bool = True
 ) -> tuple[mc.MonomialIdeal, int, int]:
     """The ideal and the power range, with the ideal (a module when
-    ``module``, else not the unit ideal) and the characteristic validated, so
-    a rejected command writes no output."""
+    ``module``, else not the unit ideal), the characteristic and the pattern
+    cap validated, so a rejected command writes no output."""
     I = _load_ideal(args)
     if module:
         tk._require_module(I)
@@ -74,6 +79,7 @@ def _checked_inputs(
         tk._require_not_unit(I)
     lo, hi = _parse_powers(args.powers)
     _validate_char(args.char)
+    _validate_pattern_cap(args.pattern_cap)
     return I, lo, hi
 
 
@@ -165,6 +171,7 @@ def _emit(line: str) -> None:
 
 def _cmd_delta(args: argparse.Namespace) -> int:
     I = _load_ideal(args)
+    _validate_pattern_cap(args.pattern_cap)
     K = stanley_reisner_complex(mc.radical(I))
     if args.fmt == "json":
         _emit(json.dumps({"d": K.d, "facets": [list(f) for f in K.facets]},
@@ -323,8 +330,7 @@ def _maybe_ratio_comment(report: asy.PowerSequenceReport) -> None:
 
 
 def _cmd_dichotomy(args: argparse.Namespace) -> int:
-    I = _load_ideal(args)
-    lo, hi = _parse_powers(args.powers)
+    I, lo, hi = _checked_inputs(args)
     if lo != 1:
         raise ValueError(
             "sequence commands need a contiguous range from 1, e.g. '1..4'"

@@ -280,6 +280,25 @@ class TestExitCodes:
         assert "n=1" in captured.err and "i=1" in captured.err
         assert "cap 100" in captured.err
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("cap", ["-5", "0"])
+    @pytest.mark.parametrize("argv", [
+        ["delta"],
+        ["cohomology", "--i", "0"],
+        ["cohomology", "--i", "all"],
+        ["cohomology", "--i", "0", "--at", "(0,0)"],
+        ["indeg", "--i", "1"],
+        ["dichotomy", "--i", "1"],
+        ["reg"],
+    ], ids=lambda a: "-".join(a).replace("--", ""))
+    def test_nonpositive_pattern_cap_is_2(self, capsys, argv, cap, fmt):
+        code = cli.main(argv + ["--ideal", "x1*x2", "--d", "2",
+                                "--pattern-cap", cap, "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: --pattern-cap must be at least 1, got {cap}\n")
+
     def test_internal_consistency_is_4(self, capsys, monkeypatch):
         def boom(*a, **k):
             raise InternalConsistencyError("forced for the exit-path test")

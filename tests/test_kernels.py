@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from monocoh import _kernels as kr
+from monocoh.monomial_core import MonomialIdeal, membership_box
 
 import oracles
 
@@ -49,6 +50,42 @@ class TestUpwardClose:
         again = closed.copy()
         kr.upward_close(again)
         assert np.array_equal(again, closed)
+
+    # Axes on both sides of the per-axis rule: slice maxima on every axis
+    # of (7,)*6 and on the length-9 axes of (1, 9, 1, 9, 9, 9), on axis 0
+    # of (2, 1500) and on axis 2 of (600, 1, 4); one accumulate call on
+    # every other axis longer than 1.
+    ROUTE_SHAPES = [(7,) * 6, (3, 5, 2, 4), (3000,), (2, 1500),
+                    (1, 9, 1, 9, 9, 9), (600, 1, 4), (1, 1, 1)]
+
+    def test_shapes_straddle_the_rule(self):
+        sliced = set()
+        for shape in self.ROUTE_SHAPES:
+            size = int(np.prod(shape))
+            sliced |= {size >= kr._SLICE_CLOSE_MIN_STEP_CELLS * n
+                       for n in shape if n > 1}
+        assert sliced == {True, False}
+
+    @pytest.mark.parametrize("shape", ROUTE_SHAPES, ids=str)
+    def test_matches_orthant_fill(self, shape):
+        rng = np.random.default_rng(len(shape) * 1000 + int(np.prod(shape)))
+        for marks in (1, 3, 12):
+            box = np.zeros(shape, dtype=np.uint8)
+            cells = [tuple(int(rng.integers(0, n)) for n in shape)
+                     for _ in range(marks)]
+            want = np.zeros(shape, dtype=np.uint8)
+            for c in cells:
+                box[c] = 1
+                want[tuple(slice(v, None) for v in c)] = 1
+            kr.upward_close(box)
+            assert np.array_equal(box, want)
+            kr.upward_close(box)
+            assert np.array_equal(box, want)
+
+    def test_long_axis_box(self):
+        box = membership_box(MonomialIdeal(1, [(10**6,)]))
+        assert box.shape == (10**6 + 1,)
+        assert box[-1] == 1 and int(box.sum()) == 1
 
 
 class TestMinimalCells:
@@ -170,6 +207,55 @@ class TestRanks:
         if not ok:
             # guard tripped: the public wrapper must still be exact
             assert exact == np.linalg.matrix_rank(mat.astype(float))
+
+    def test_char0_rank_across_the_exact_route_crossover(self):
+        # cell counts on both sides of the cutoff; half of the matrices are
+        # products of thin factors, so their rank is below min(m, n)
+        rng = np.random.default_rng(8)
+        shapes = [(20, 20), (16, 32), (20, 26), (24, 24), (30, 30)]
+        sizes = [m * n for m, n in shapes]
+        assert min(sizes) <= kr._EXACT_RANK_MAX_CELLS < max(sizes)
+        for m, n in shapes:
+            for t in (m, int(rng.integers(2, min(m, n)))):
+                left = rng.integers(-2, 3, size=(m, t))
+                right = rng.integers(-2, 3, size=(t, n))
+                mat = (left @ right).astype(np.int64)
+                assert kr.rank_char0(mat) == oracles._rank_fraction(
+                    mat.tolist())
+
+    def test_small_matrix_makes_no_fallback_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kr, "bareiss_rank_exact",
+                            lambda rows: calls.append(rows))
+        n = 12
+        mat = np.full((n, n), 2**20, dtype=np.int64)
+        mat += np.diag(np.arange(1, n + 1))
+        assert kr.rank_char0(mat, backend="numpy") == n
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            small = rng.integers(-3, 4, size=(7, 9)).astype(np.int64)
+            kr.rank_char0(small, backend="numpy")
+        assert calls == []
+
+    def test_large_overflow_falls_back_once(self, monkeypatch):
+        n = 40
+        mat = np.full((n, n), 2**20, dtype=np.int64)
+        mat += np.diag(np.arange(1, n + 1))
+        assert mat.size > kr._EXACT_RANK_MAX_CELLS
+        rank, ok = kr.bareiss_rank_int64(mat, backend="numpy")
+        assert not ok
+        calls = []
+        exact = kr.bareiss_rank_exact
+
+        def counted(rows):
+            calls.append(1)
+            return exact(rows)
+
+        monkeypatch.setattr(kr, "bareiss_rank_exact", counted)
+        want = oracles._rank_fraction(mat.tolist())
+        assert want == n
+        assert kr.rank_char0(mat, backend="numpy") == want
+        assert len(calls) == 1
 
     def test_empty_matrices(self):
         assert kr.rank_char0(np.zeros((0, 5), dtype=np.int64)) == 0
