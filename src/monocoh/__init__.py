@@ -5,9 +5,8 @@ ideal I in a polynomial ring R = k[x_1..x_d] through the homology of
 degree complexes, tracks how the initial degree behaves over powers
 I^n, and certifies the finite-length dichotomy per computed power.
 
-Heavy kernels run through numba when it is importable; set
-MONOCOH_BACKEND=numpy to force the pure-numpy fallbacks or
-MONOCOH_BACKEND=numba to require the compiled versions.
+The heavy kernels (membership boxes, the pattern scan and exact ranks)
+are vectorised numpy in ``monocoh._kernels``.
 """
 
 from .errors import (

@@ -147,9 +147,7 @@ def _row_for_power(
         table = cohomology_table(J, i, char, pattern_cap=pattern_cap)
         reg_val = regularity(J, char, pattern_cap=pattern_cap)
     except ResourceCapError as exc:
-        raise ResourceCapError(
-            f"power n={n}: {exc}", required=exc.required, cap=exc.cap
-        ) from exc
+        raise exc.for_power(n) from exc
     row = PowerRow(
         n=n,
         indeg=table_indeg(table),

@@ -231,8 +231,6 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
         return 0
 
     buffered = []
-    if args.fmt == "csv":
-        _emit("n,i,char,finite_length,G,a_plus,dim")
     for n in range(lo, hi + 1):
         J = _power_ideal(I, n, args.saturated)
         try:
@@ -245,9 +243,10 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
                 tables = {i: tk.cohomology_table(
                     J, i, args.char, pattern_cap=args.pattern_cap) for i in i_list}
         except ResourceCapError as exc:
-            raise ResourceCapError(
-                f"power n={n}: {exc}", required=exc.required, cap=exc.cap
-            ) from exc
+            raise exc.for_power(n) from exc
+        if args.fmt == "csv" and n == lo:
+            # after the first power, so a cap trip leaves stdout empty
+            _emit("n,i,char,finite_length,G,a_plus,dim")
         for i, table in tables.items():
             if args.fmt == "json":
                 buffered.append({"n": n, "table": table.to_dict()})
@@ -286,13 +285,14 @@ def _cmd_indeg(args: argparse.Namespace) -> int:
     if args.fmt == "csv":
         # recompute row by row so output streams as powers finish
         I, hi = _sequence_inputs(args)
-        _emit(asy.CSV_HEADER)
         rows = []
         for n in range(1, hi + 1):
             row, _ = asy._row_for_power(
                 I, n, args.i, args.saturated, args.char, args.pattern_cap
             )
             rows.append(row)
+            if n == 1:
+                _emit(asy.CSV_HEADER)
             sat = str(args.saturated).lower()
             fl = str(row.finite_length).lower()
             _emit(f"{n},{args.i},{args.char},{sat},{fl},"
@@ -385,12 +385,16 @@ def _cmd_reg(args: argparse.Namespace) -> int:
     if args.saturated:
         raise ValueError("reg works on the powers themselves; drop --saturated")
     regs = []
-    if args.fmt == "csv":
-        _emit("n,reg")
     for n in range(1, hi + 1):
-        r = tk.regularity(mc.power(I, n), args.char, pattern_cap=args.pattern_cap)
+        try:
+            r = tk.regularity(
+                mc.power(I, n), args.char, pattern_cap=args.pattern_cap)
+        except ResourceCapError as exc:
+            raise exc.for_power(n) from exc
         regs.append(r)
         if args.fmt == "csv":
+            if n == 1:
+                _emit("n,reg")
             _emit(f"{n},{r}")
         elif args.fmt == "text":
             _emit(f"n={n} reg={r}")

@@ -31,6 +31,12 @@ class ResourceCapError(RuntimeError):
         self.required = required
         self.cap = cap
 
+    def for_power(self, n: int) -> "ResourceCapError":
+        """The same error, its message prefixed with the power it hit."""
+        return ResourceCapError(
+            f"power n={n}: {self}", required=self.required, cap=self.cap
+        )
+
 
 class InternalConsistencyError(RuntimeError):
     """Raised when a computed result violates an invariant that valid inputs

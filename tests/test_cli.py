@@ -267,6 +267,18 @@ class TestExitCodes:
         assert code == 3
         assert "n=3" in err and "i=1" in err and "10" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["cohomology", "--i", "0"],
+        ["indeg", "--i", "1"],
+        ["reg"],
+    ], ids=lambda a: a[0])
+    def test_cap_on_first_power_prints_nothing(self, capsys, argv):
+        code = cli.main(argv + ["--ideal", "x1*x2", "--d", "2",
+                                "--pattern-cap", "1", "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: power n=1: ")
+
     def test_cap_between_degrees_is_3_before_any_scan(self, capsys,
                                                       monkeypatch):
         # C_5 has rho = 1: i=0 scans 32 patterns, i=1 scans 112

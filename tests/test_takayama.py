@@ -313,9 +313,9 @@ class TestOneScan:
         calls = []
         scan = _kernels.scan_face_masks
 
-        def counting(box, free_axes, g_axes, faces, backend=None):
+        def counting(box, free_axes, g_axes, faces):
             calls.append(tuple(g_axes))
-            return scan(box, free_axes, g_axes, faces, backend)
+            return scan(box, free_axes, g_axes, faces)
 
         monkeypatch.setattr(_kernels, "scan_face_masks", counting)
         for J in small_corpus[:20] + [cycle_ideal(6)]:
