@@ -22,7 +22,6 @@ from .monomial_core import (
 from .simplicial import homology_dim_single, stanley_reisner_complex
 from .takayama import (
     DEFAULT_PATTERN_CAP,
-    CohomologyTable,
     ExtendedDegree,
     _require_module,
     _validate_i,
@@ -48,6 +47,19 @@ class PowerRow:
     def astuple(self) -> tuple:
         return (self.n, self.indeg, self.topdeg, self.finite_length, self.reg)
 
+    def csv_line(self, i: int, char: int, saturated: bool) -> str:
+        """The row under CSV_HEADER."""
+        return (
+            f"{self.n},{i},{char},{str(saturated).lower()},"
+            f"{str(self.finite_length).lower()},{self.indeg},{self.topdeg},{self.reg}"
+        )
+
+    def text_line(self) -> str:
+        return (
+            f"n={self.n} indeg={self.indeg} topdeg={self.topdeg} "
+            f"finite_length={str(self.finite_length).lower()} reg={self.reg}"
+        )
+
 
 @dataclass(frozen=True)
 class PowerSequenceReport:
@@ -64,13 +76,7 @@ class PowerSequenceReport:
         return self.rows[n - 1]
 
     def csv_rows(self) -> list[str]:
-        out = []
-        for r in self.rows:
-            out.append(
-                f"{r.n},{self.i},{self.char},{str(self.saturated).lower()},"
-                f"{str(r.finite_length).lower()},{r.indeg},{r.topdeg},{r.reg}"
-            )
-        return out
+        return [r.csv_line(self.i, self.char, self.saturated) for r in self.rows]
 
     def to_dict(self) -> dict:
         return {
@@ -119,6 +125,12 @@ class DichotomyVerdict:
         }
 
 
+def _power_ideal(I: MonomialIdeal, n: int, saturated: bool) -> MonomialIdeal:
+    """I^n, or its saturation when ``saturated``."""
+    J = power(I, n)
+    return saturate_irrelevant(J) if saturated else J
+
+
 def _row_for_power(
     I: MonomialIdeal,
     n: int,
@@ -126,36 +138,40 @@ def _row_for_power(
     saturated: bool,
     char: int,
     pattern_cap: int,
-) -> tuple[PowerRow, CohomologyTable | None]:
-    J = power(I, n)
-    if saturated:
-        J = saturate_irrelevant(J)
-        if J.is_unit:
-            # the power was irrelevant-primary: its saturation is the whole
-            # ring and every module invariant degenerates
-            return (
-                PowerRow(
-                    n=n,
-                    indeg=ExtendedDegree.pos_inf(),
-                    topdeg=ExtendedDegree.neg_inf(),
-                    finite_length=True,
-                    reg=ExtendedDegree.neg_inf(),
-                ),
-                None,
-            )
+) -> PowerRow:
+    J = _power_ideal(I, n, saturated)
+    if J.is_unit:
+        # the power was irrelevant-primary: its saturation is the whole
+        # ring and every module invariant degenerates
+        return PowerRow(
+            n=n,
+            indeg=ExtendedDegree.pos_inf(),
+            topdeg=ExtendedDegree.neg_inf(),
+            finite_length=True,
+            reg=ExtendedDegree.neg_inf(),
+        )
     try:
         table = cohomology_table(J, i, char, pattern_cap=pattern_cap)
         reg_val = regularity(J, char, pattern_cap=pattern_cap)
     except ResourceCapError as exc:
         raise exc.for_power(n) from exc
-    row = PowerRow(
+    return PowerRow(
         n=n,
         indeg=table_indeg(table),
         topdeg=table_topdeg(table),
         finite_length=table.finite_length,
         reg=ExtendedDegree.finite(reg_val),
     )
-    return row, table
+
+
+def _power_regularity(
+    I: MonomialIdeal, n: int, char: int, pattern_cap: int
+) -> int:
+    """reg(R/I^n), a cap trip naming the power."""
+    try:
+        return regularity(power(I, n), char, pattern_cap=pattern_cap)
+    except ResourceCapError as exc:
+        raise exc.for_power(n) from exc
 
 
 def power_sequence(
@@ -171,17 +187,12 @@ def power_sequence(
     _validate_i(I.d, i)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    rows = []
-    for n in range(1, n_max + 1):
-        row, _ = _row_for_power(I, n, i, saturated, char, pattern_cap)
-        rows.append(row)
+    rows = tuple(
+        _row_for_power(I, n, i, saturated, char, pattern_cap)
+        for n in range(1, n_max + 1)
+    )
     return PowerSequenceReport(
-        ideal=I,
-        i=i,
-        char=char,
-        saturated=saturated,
-        rows=tuple(rows),
-        n_max=n_max,
+        ideal=I, i=i, char=char, saturated=saturated, rows=rows, n_max=n_max
     )
 
 
@@ -264,8 +275,7 @@ def regularity_linear_fit(
     if n_max < 4:
         raise ValueError("n_max must be at least 4 to detect a run")
     regs = [
-        regularity(power(I, n), char, pattern_cap=pattern_cap)
-        for n in range(1, n_max + 1)
+        _power_regularity(I, n, char, pattern_cap) for n in range(1, n_max + 1)
     ]
     diffs = [regs[k + 1] - regs[k] for k in range(len(regs) - 1)]
     # longest terminal block of constant differences

@@ -18,12 +18,7 @@ from pathlib import Path
 from . import asymptotics as asy
 from . import monomial_core as mc
 from . import takayama as tk
-from .errors import (
-    IdealSyntaxError,
-    InternalConsistencyError,
-    ResourceCapError,
-    UnitIdealError,
-)
+from .errors import InternalConsistencyError, ResourceCapError
 from .simplicial import _validate_char, stanley_reisner_complex
 from .takayama import DEFAULT_PATTERN_CAP
 
@@ -90,7 +85,6 @@ def _sequence_inputs(args: argparse.Namespace) -> tuple[mc.MonomialIdeal, int]:
         raise ValueError(
             "sequence commands need a contiguous range from 1, e.g. '1..4'"
         )
-    tk._validate_i(args.d, args.i)
     return I, hi
 
 
@@ -170,8 +164,7 @@ def _emit(line: str) -> None:
 
 
 def _cmd_delta(args: argparse.Namespace) -> int:
-    I = _load_ideal(args)
-    _validate_pattern_cap(args.pattern_cap)
+    I, _, _ = _checked_inputs(args, module=False)
     K = stanley_reisner_complex(mc.radical(I))
     if args.fmt == "json":
         _emit(json.dumps({"d": K.d, "facets": [list(f) for f in K.facets]},
@@ -191,13 +184,6 @@ def _requested_is(args: argparse.Namespace, d: int) -> list[int]:
     return [tk._validate_i(d, int(args.i))]
 
 
-def _power_ideal(I: mc.MonomialIdeal, n: int, saturated: bool) -> mc.MonomialIdeal:
-    J = mc.power(I, n)
-    if saturated:
-        J = mc.saturate_irrelevant(J)
-    return J
-
-
 def _zero_table(i: int, char: int) -> tk.CohomologyTable:
     """The table of H^i_m(R/J) when J is the unit ideal: the saturation of
     an irrelevant-primary power, whose quotient is the zero module."""
@@ -211,7 +197,7 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
         a = _parse_degree_vector(args.at, args.d)
         results = []
         for n in range(lo, hi + 1):
-            J = _power_ideal(I, n, args.saturated)
+            J = asy._power_ideal(I, n, args.saturated)
             for i in i_list:
                 dim = 0 if J.is_unit else tk.cohomology_dim_at(J, i, a, args.char)
                 results.append((n, i, dim))
@@ -232,7 +218,7 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
 
     buffered = []
     for n in range(lo, hi + 1):
-        J = _power_ideal(I, n, args.saturated)
+        J = asy._power_ideal(I, n, args.saturated)
         try:
             if J.is_unit:
                 tables = {i: _zero_table(i, args.char) for i in i_list}
@@ -269,72 +255,44 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sequence_report(args: argparse.Namespace) -> asy.PowerSequenceReport:
-    I, hi = _sequence_inputs(args)
-    return asy.power_sequence(
-        I,
-        args.i,
-        hi,
-        saturated=args.saturated,
-        char=args.char,
-        pattern_cap=args.pattern_cap,
-    )
+def _emit_rows_text(report: asy.PowerSequenceReport) -> None:
+    _emit(f"# i={report.i} char={report.char} "
+          f"saturated={str(report.saturated).lower()}")
+    for r in report.rows:
+        _emit(r.text_line())
 
 
 def _cmd_indeg(args: argparse.Namespace) -> int:
-    if args.fmt == "csv":
-        # recompute row by row so output streams as powers finish
-        I, hi = _sequence_inputs(args)
-        rows = []
-        for n in range(1, hi + 1):
-            row, _ = asy._row_for_power(
-                I, n, args.i, args.saturated, args.char, args.pattern_cap
-            )
-            rows.append(row)
+    I, hi = _sequence_inputs(args)
+    tk._validate_i(args.d, args.i)
+    rows = []
+    for n in range(1, hi + 1):
+        rows.append(asy._row_for_power(
+            I, n, args.i, args.saturated, args.char, args.pattern_cap))
+        if args.fmt == "csv":
+            # streamed as powers finish, the header after the first one
             if n == 1:
                 _emit(asy.CSV_HEADER)
-            sat = str(args.saturated).lower()
-            fl = str(row.finite_length).lower()
-            _emit(f"{n},{args.i},{args.char},{sat},{fl},"
-                  f"{row.indeg},{row.topdeg},{row.reg}")
-        report = asy.PowerSequenceReport(
-            ideal=I, i=args.i, char=args.char, saturated=args.saturated,
-            rows=tuple(rows), n_max=hi,
-        )
-        _maybe_ratio_comment(report)
-        return 0
-    report = _sequence_report(args)
+            _emit(rows[-1].csv_line(args.i, args.char, args.saturated))
+    report = asy.PowerSequenceReport(
+        ideal=I, i=args.i, char=args.char, saturated=args.saturated,
+        rows=tuple(rows), n_max=hi,
+    )
     if args.fmt == "json":
         _emit(json.dumps(report.to_dict(), separators=(",", ":")))
-    else:
-        _emit(f"# i={report.i} char={report.char} "
-              f"saturated={str(report.saturated).lower()}")
-        for r in report.rows:
-            _emit(f"n={r.n} indeg={r.indeg} topdeg={r.topdeg} "
-                  f"finite_length={str(r.finite_length).lower()} reg={r.reg}")
-        try:
-            lo_est, last = asy.ratio_summary(report)
-            _emit(f"# indeg/n estimates: min={lo_est} last={last} "
-                  "(finite-sample only)")
-        except ValueError:
-            pass
-    return 0
-
-
-def _maybe_ratio_comment(report: asy.PowerSequenceReport) -> None:
+        return 0
+    if args.fmt == "text":
+        _emit_rows_text(report)
     try:
         lo_est, last = asy.ratio_summary(report)
     except ValueError:
-        return
+        return 0
     _emit(f"# indeg/n estimates: min={lo_est} last={last} (finite-sample only)")
+    return 0
 
 
 def _cmd_dichotomy(args: argparse.Namespace) -> int:
-    I, lo, hi = _checked_inputs(args)
-    if lo != 1:
-        raise ValueError(
-            "sequence commands need a contiguous range from 1, e.g. '1..4'"
-        )
+    I, hi = _sequence_inputs(args)
     verdict, report = asy.dichotomy_report(
         I,
         args.i,
@@ -358,11 +316,7 @@ def _cmd_dichotomy(args: argparse.Namespace) -> int:
         for n, observed, constraint in verdict.violations:
             _emit(f"# violation: n={n} observed={observed} expected={constraint}")
     else:
-        _emit(f"# i={report.i} char={report.char} "
-              f"saturated={str(report.saturated).lower()}")
-        for r in report.rows:
-            _emit(f"n={r.n} indeg={r.indeg} topdeg={r.topdeg} "
-                  f"finite_length={str(r.finite_length).lower()} reg={r.reg}")
+        _emit_rows_text(report)
         _emit(f"case: {verdict.case} (dim H~_(i-1) of the full complex = "
               f"{verdict.h_tilde_dim})")
         _emit(f"per-power consistency: {str(verdict.per_n_consistent).lower()}")
@@ -379,18 +333,12 @@ def _cmd_dichotomy(args: argparse.Namespace) -> int:
 
 
 def _cmd_reg(args: argparse.Namespace) -> int:
-    I, lo, hi = _checked_inputs(args)
-    if lo != 1:
-        raise ValueError("reg needs a contiguous range from 1, e.g. '1..6'")
+    I, hi = _sequence_inputs(args)
     if args.saturated:
         raise ValueError("reg works on the powers themselves; drop --saturated")
     regs = []
     for n in range(1, hi + 1):
-        try:
-            r = tk.regularity(
-                mc.power(I, n), args.char, pattern_cap=args.pattern_cap)
-        except ResourceCapError as exc:
-            raise exc.for_power(n) from exc
+        r = asy._power_regularity(I, n, args.char, args.pattern_cap)
         regs.append(r)
         if args.fmt == "csv":
             if n == 1:
@@ -435,9 +383,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return _DISPATCH[args.command](args)
-    except (IdealSyntaxError, UnitIdealError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

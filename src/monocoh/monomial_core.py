@@ -479,22 +479,26 @@ def hilbert_function(I: MonomialIdeal, t: int) -> int:
     return _hilbert_inclusion_exclusion(I, t)
 
 
-def krull_dimension(I: MonomialIdeal) -> int:
-    """dim R/I: the size of the largest subset of variables supporting no
-    generator of the radical (the largest face of the radical's complex)."""
-    if I.is_unit:
-        raise UnitIdealError("R/I is the zero ring; its dimension is undefined")
+def _radical_face_flags(I: MonomialIdeal) -> np.ndarray:
+    """Face indicator of the radical's complex over all 2^d bitmasks: F is a
+    face iff no generator's support lies inside F (bit j-1 is x_j)."""
     if I.d > MAX_VARIABLES:
         raise ValueError(f"face enumeration is capped at d <= {MAX_VARIABLES}")
-    if I.is_zero:
-        return I.d
     bits = np.left_shift(1, np.arange(I.d, dtype=np.int64))
     supports = np.unique((I._exps > 0).astype(np.int64) @ bits)
     masks = np.arange(1 << I.d, dtype=np.int64)
     nonface = np.zeros(masks.shape, dtype=bool)
     for s in supports:
         nonface |= (masks & s) == s
-    faces = masks[~nonface]
+    return ~nonface
+
+
+def krull_dimension(I: MonomialIdeal) -> int:
+    """dim R/I: the size of the largest subset of variables supporting no
+    generator of the radical (the largest face of the radical's complex)."""
+    if I.is_unit:
+        raise UnitIdealError("R/I is the zero ring; its dimension is undefined")
+    faces = np.flatnonzero(_radical_face_flags(I))
     sizes = np.zeros(faces.shape, dtype=np.int64)
     for k in range(I.d):
         sizes += (faces >> k) & 1

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import UnitIdealError
-from .monomial_core import MAX_VARIABLES, MonomialIdeal, radical
+from .monomial_core import MAX_VARIABLES, MonomialIdeal, _radical_face_flags
 
 
 # Largest accepted prime characteristic. Modular elimination multiplies two
@@ -222,15 +222,8 @@ def stanley_reisner_complex(I: MonomialIdeal) -> SimplicialComplex:
             stacklevel=2,
         )
         return SimplicialComplex(d, ())
-    rad = radical(I)
+    face = _radical_face_flags(I)
     masks = np.arange(1 << d, dtype=np.int64)
-    nonface = np.zeros(masks.shape, dtype=bool)
-    for row in rad.exponent_matrix:
-        supp = 0
-        for j in np.nonzero(row)[0]:
-            supp |= 1 << int(j)
-        nonface |= (masks & supp) == supp
-    face = ~nonface
     is_facet = face.copy()
     for v in range(d):
         bitv = 1 << v

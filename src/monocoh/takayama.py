@@ -32,18 +32,18 @@ from . import _kernels
 from .errors import InternalConsistencyError, ResourceCapError, UnitIdealError
 from .monomial_core import (
     MonomialIdeal,
+    _radical_face_flags,
     krull_dimension,
     membership_box,
-    radical,
     var_degree_bounds,
 )
 from .simplicial import (
     SimplicialComplex,
+    _antichain_max,
     _validate_char,
     _validate_d,
     homology_dim_single,
     homology_dims_from_masks,
-    stanley_reisner_complex,
 )
 
 DEFAULT_PATTERN_CAP = 10_000_000
@@ -228,10 +228,7 @@ def degree_complex(I: MonomialIdeal, a: Sequence[int]) -> SimplicialComplex:
         if s == 0:
             break
         s = (s - 1) & free_mask
-    if not faces:
-        return SimplicialComplex(d, ())
-    keep = [m for m in faces if not any(m != f and (m & f) == m for f in faces)]
-    return SimplicialComplex(d, keep)
+    return SimplicialComplex(d, _antichain_max(faces))
 
 
 def cohomology_dim_at(
@@ -336,7 +333,7 @@ def cohomology_tables(
                 cap=pattern_cap,
             )
     box = membership_box(I)
-    all_faces = sorted(stanley_reisner_complex(I).face_masks())
+    all_faces = np.flatnonzero(_radical_face_flags(I)).tolist()
     entries: dict[int, dict[DegreePattern, int]] = {i: {} for i in i_list}
     memo: dict[tuple, dict[int, int]] = {}
     for g_size in range(0, i_list[-1] + 1):

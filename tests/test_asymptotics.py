@@ -157,6 +157,11 @@ class TestRegularityFit:
         with pytest.raises(ValueError):
             regularity_linear_fit(parse_ideal("x1*x2", 2), 3)
 
+    def test_cap_names_power(self):
+        # C_5^3 needs 2304 patterns at i=1, the first power over the cap
+        with pytest.raises(ResourceCapError, match="power n=3: "):
+            regularity_linear_fit(cycle_ideal(5), 4, pattern_cap=2000)
+
     def test_stable_from_skips_initial_irregularity(self):
         # x1^2, x1*x2: reg sequence starts differently than its tail
         I = parse_ideal("x1^2, x1*x2^2", 2)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,15 @@ class TestDelta:
                             "--format", "json")
         assert code == 0
         assert json.loads(out) == {"d": 2, "facets": [[1], [2]]}
+
+    def test_unit_ideal_is_2_without_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["delta", "--ideal", "1", "--d", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error: R/I is the zero ring; no cohomology to compute\n")
 
 
 class TestCohomology:
@@ -155,6 +165,26 @@ class TestCohomology:
 
 
 class TestSequenceCommands:
+    BIPARTITE_INDEG = ("indeg", "--ideal", "x1*x3, x1*x4, x2*x3, x2*x4",
+                       "--d", "4", "--i", "1", "--powers", "1..3")
+
+    @pytest.mark.parametrize("fmt,suffix", [
+        ("text", "txt"), ("json", "json"), ("csv", "csv")])
+    def test_indeg_bipartite_golden(self, capsys, fmt, suffix):
+        code, out = run_cli(capsys, *self.BIPARTITE_INDEG, "--format", fmt)
+        assert code == 0 and out == golden(f"indeg_bipartite.{suffix}")
+
+    def test_dichotomy_cycle_text_golden(self, capsys):
+        code, out = run_cli(capsys, "dichotomy", "--ideal", CYCLE5, "--d", "5",
+                            "--i", "1", "--powers", "1..4", "--saturated")
+        assert code == 0 and out == golden("dichotomy_cycle5.txt")
+
+    @pytest.mark.parametrize("fmt,suffix", [("text", "txt"), ("json", "json")])
+    def test_reg_golden(self, capsys, fmt, suffix):
+        code, out = run_cli(capsys, "reg", "--ideal", "x1*x2", "--d", "2",
+                            "--powers", "1..6", "--format", fmt)
+        assert code == 0 and out == golden(f"reg_edge.{suffix}")
+
     def test_indeg_csv_golden(self, capsys):
         code, out = run_cli(capsys, "indeg", "--ideal", "x1*x2", "--d", "2",
                             "--i", "1", "--powers", "1..3", "--format", "csv")
@@ -237,6 +267,8 @@ class TestExitCodes:
         ["indeg", "--i", "1", "--powers", "2..3"],
         ["reg", "--char", "4"],
         ["reg", "--powers", "0..2"],
+        ["delta", "--char", "4"],
+        ["delta", "--powers", "3..1"],
     ], ids=lambda a: "-".join(a).replace("--", ""))
     def test_rejected_command_prints_nothing(self, capsys, argv):
         code = cli.main(argv + ["--ideal", "x1*x2", "--d", "2",
