@@ -28,10 +28,20 @@ _BAREISS_LIMIT = 1 << 31
 # maxima once the box holds at least this many cells per step along it;
 # below that one ``np.maximum.accumulate`` call is cheaper.
 _SLICE_CLOSE_MIN_STEP_CELLS = 512
+# The last axis is contiguous, so its hyperplanes are strided: from this
+# length on one accumulate call closes it faster than the slice maxima,
+# whatever the cells per step.
+_ACCUMULATE_LAST_AXIS_MIN_LEN = 64
 # A char-0 rank on at most this many cells runs the Python-integer
 # elimination directly: below it the per-pivot numpy calls cost more than
 # the arithmetic they vectorise.
 _EXACT_RANK_MAX_CELLS = 512
+# Mask rows of one word are deduplicated through a presence table over the
+# key range, not a sort, once there are at least this many keys and every
+# key is below _DENSE_DEDUP_SPAN times their count: the table then costs a
+# few linear passes, and the sort O(n log n).
+_DENSE_DEDUP_MIN_KEYS = 4096
+_DENSE_DEDUP_SPAN = 4
 
 
 def upward_close(box: np.ndarray) -> None:
@@ -43,16 +53,20 @@ def upward_close(box: np.ndarray) -> None:
     One axis is closed at a time. An axis of length ``n`` on which the box
     holds at least ``_SLICE_CLOSE_MIN_STEP_CELLS`` cells per step
     (``box.size >= 512 * n``) is closed by ``n - 1`` in-place slice maxima,
-    each hyperplane taking the maximum with the closed one below it; any
-    other axis by one ``np.maximum.accumulate`` call. The choice depends
-    only on the shape, so a 1-D box, however long, is one call.
+    each hyperplane taking the maximum with the closed one below it, unless
+    it is the last axis and at least ``_ACCUMULATE_LAST_AXIS_MIN_LEN`` (64)
+    long; any other axis by one ``np.maximum.accumulate`` call. The choice
+    depends only on the shape, so a 1-D box, however long, is one call.
     """
     if box.size == 0:
         return
+    last = box.ndim - 1
     for ax, n in enumerate(box.shape):
         if n <= 1:
             continue
-        if box.size >= _SLICE_CLOSE_MIN_STEP_CELLS * n:
+        if box.size >= _SLICE_CLOSE_MIN_STEP_CELLS * n and not (
+            ax == last and n >= _ACCUMULATE_LAST_AXIS_MIN_LEN
+        ):
             v = np.moveaxis(box, ax, 0)
             for k in range(1, n):
                 np.maximum(v[k], v[k - 1], out=v[k])
@@ -112,15 +126,22 @@ def scan_face_masks(
     iff the box is 0 at the probe point with coordinates ``rho_j`` on
     ``g_axes + F`` and ``a_j`` elsewhere.
 
-    Returns a ``(npat, ceil(nf / 64))`` uint64 array; bit ``f`` of row ``p``
-    is set when face ``faces[f]`` is present in the complex of pattern ``p``.
+    Returns a ``(npat, max(1, ceil(nf / 64)))`` array of mask words; bit
+    ``f`` of row ``p`` (bit ``f % 64`` of word ``f // 64``) is set when face
+    ``faces[f]`` is present in the complex of pattern ``p``. The words are
+    the narrowest unsigned type that holds ``nf`` bits: uint8 up to 8 faces,
+    uint16 up to 16, uint32 up to 32, else uint64.
     """
     shape = box.shape
     sub_dims = [shape[j] for j in free_axes]
     nf = len(faces)
     npat = math.prod(sub_dims)
     nw = max(1, (nf + 63) // 64)
-    out = np.zeros((npat, nw), dtype=np.uint64)
+    word = np.dtype(
+        np.uint8 if nf <= 8 else np.uint16 if nf <= 16
+        else np.uint32 if nf <= 32 else np.uint64
+    )
+    out = np.zeros((npat, nw), dtype=word)
     if nf == 0 or npat == 0:
         return out
     # out viewed over the pattern box; a face axis is probed at its top
@@ -133,7 +154,7 @@ def scan_face_masks(
             else slice(None)
             for j in range(len(shape))
         )
-        presence = (box[idx] == 0).astype(np.uint64) << np.uint64(f_i & 63)
+        presence = (box[idx] == 0).astype(word) << word.type(f_i & 63)
         out_box[..., f_i >> 6] |= presence
     return out
 

@@ -75,9 +75,6 @@ class PowerSequenceReport:
             raise KeyError(n)
         return self.rows[n - 1]
 
-    def csv_rows(self) -> list[str]:
-        return [r.csv_line(self.i, self.char, self.saturated) for r in self.rows]
-
     def to_dict(self) -> dict:
         return {
             "ideal": self.ideal.generators_str(),
@@ -213,15 +210,28 @@ def dichotomy_report(
     -inf indeg and no constraint. Verdicts are per computed n, never a
     claim about all n.
     """
+    _require_dichotomy_i(I, i)
+    report = power_sequence(
+        I, i, n_max, saturated=saturated, char=char, pattern_cap=pattern_cap
+    )
+    return _dichotomy_verdict(report, pattern_cap), report
+
+
+def _require_dichotomy_i(I: MonomialIdeal, i: int) -> None:
+    """Raise ValueError unless R/I is a module and 1 <= i <= dim R/I."""
     _require_module(I)
     dim = krull_dimension(I)
     if not 1 <= i <= dim:
         raise ValueError(
             f"i must be between 1 and dim R/I = {dim}, got {i}"
         )
-    report = power_sequence(
-        I, i, n_max, saturated=saturated, char=char, pattern_cap=pattern_cap
-    )
+
+
+def _dichotomy_verdict(
+    report: PowerSequenceReport, pattern_cap: int = DEFAULT_PATTERN_CAP
+) -> DichotomyVerdict:
+    """The verdict of ``dichotomy_report`` on a computed report's rows."""
+    I, i, char = report.ideal, report.i, report.char
     K = stanley_reisner_complex(I)
     h_tilde_dim = homology_dim_single(K.face_masks(), i - 1, char)
     case = "CASE1" if h_tilde_dim > 0 else "CASE2"
@@ -241,11 +251,11 @@ def dichotomy_report(
         warnings.warn(
             "no power in the computed range has finite length; "
             "the verdict is vacuous",
-            stacklevel=2,
+            stacklevel=3,
         )
     rad_table = cohomology_table(radical(I), i, char, pattern_cap=pattern_cap)
     remark44 = bool(certified) and bool(rad_table.entries)
-    verdict = DichotomyVerdict(
+    return DichotomyVerdict(
         h_tilde_dim=h_tilde_dim,
         case=case,
         per_n_consistent=not violations,
@@ -253,7 +263,6 @@ def dichotomy_report(
         certified_n=tuple(certified),
         remark44_applies=remark44,
     )
-    return verdict, report
 
 
 def regularity_linear_fit(

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import asymptotics as asy
 from . import monomial_core as mc
 from . import takayama as tk
-from .errors import InternalConsistencyError, ResourceCapError
+from .errors import InternalConsistencyError, ResourceCapError, UnitIdealError
 from .simplicial import _validate_char, stanley_reisner_complex
 from .takayama import DEFAULT_PATTERN_CAP
 
@@ -61,17 +61,20 @@ def _validate_pattern_cap(cap: int) -> None:
         raise ValueError(f"--pattern-cap must be at least 1, got {cap}")
 
 
+def _require_complex(I: mc.MonomialIdeal) -> None:
+    if I.is_unit:
+        raise UnitIdealError(
+            "the complex Delta(I) of the unit ideal is void; it has no faces")
+
+
 def _checked_inputs(
-    args: argparse.Namespace, module: bool = True
+    args: argparse.Namespace, require=tk._require_module
 ) -> tuple[mc.MonomialIdeal, int, int]:
-    """The ideal and the power range, with the ideal (a module when
-    ``module``, else not the unit ideal), the characteristic and the pattern
-    cap validated, so a rejected command writes no output."""
+    """The ideal and the power range, with the ideal (by ``require``), the
+    characteristic and the pattern cap validated, so a rejected command
+    writes no output."""
     I = _load_ideal(args)
-    if module:
-        tk._require_module(I)
-    else:
-        tk._require_not_unit(I)
+    require(I)
     lo, hi = _parse_powers(args.powers)
     _validate_char(args.char)
     _validate_pattern_cap(args.pattern_cap)
@@ -164,7 +167,7 @@ def _emit(line: str) -> None:
 
 
 def _cmd_delta(args: argparse.Namespace) -> int:
-    I, _, _ = _checked_inputs(args, module=False)
+    I, _, _ = _checked_inputs(args, require=_require_complex)
     K = stanley_reisner_complex(mc.radical(I))
     if args.fmt == "json":
         _emit(json.dumps({"d": K.d, "facets": [list(f) for f in K.facets]},
@@ -191,7 +194,8 @@ def _zero_table(i: int, char: int) -> tk.CohomologyTable:
 
 
 def _cmd_cohomology(args: argparse.Namespace) -> int:
-    I, lo, hi = _checked_inputs(args, module=args.at is None)
+    require = tk._require_module if args.at is None else tk._require_not_unit
+    I, lo, hi = _checked_inputs(args, require=require)
     i_list = _requested_is(args, args.d)
     if args.at is not None:
         a = _parse_degree_vector(args.at, args.d)
@@ -262,22 +266,29 @@ def _emit_rows_text(report: asy.PowerSequenceReport) -> None:
         _emit(r.text_line())
 
 
-def _cmd_indeg(args: argparse.Namespace) -> int:
-    I, hi = _sequence_inputs(args)
-    tk._validate_i(args.d, args.i)
+def _power_rows(
+    args: argparse.Namespace, I: mc.MonomialIdeal, hi: int
+) -> asy.PowerSequenceReport:
+    """The rows of powers 1..hi; CSV streams each row as its power
+    finishes, the header after the first one."""
     rows = []
     for n in range(1, hi + 1):
         rows.append(asy._row_for_power(
             I, n, args.i, args.saturated, args.char, args.pattern_cap))
         if args.fmt == "csv":
-            # streamed as powers finish, the header after the first one
             if n == 1:
                 _emit(asy.CSV_HEADER)
             _emit(rows[-1].csv_line(args.i, args.char, args.saturated))
-    report = asy.PowerSequenceReport(
+    return asy.PowerSequenceReport(
         ideal=I, i=args.i, char=args.char, saturated=args.saturated,
         rows=tuple(rows), n_max=hi,
     )
+
+
+def _cmd_indeg(args: argparse.Namespace) -> int:
+    I, hi = _sequence_inputs(args)
+    tk._validate_i(args.d, args.i)
+    report = _power_rows(args, I, hi)
     if args.fmt == "json":
         _emit(json.dumps(report.to_dict(), separators=(",", ":")))
         return 0
@@ -293,22 +304,14 @@ def _cmd_indeg(args: argparse.Namespace) -> int:
 
 def _cmd_dichotomy(args: argparse.Namespace) -> int:
     I, hi = _sequence_inputs(args)
-    verdict, report = asy.dichotomy_report(
-        I,
-        args.i,
-        hi,
-        char=args.char,
-        saturated=args.saturated,
-        pattern_cap=args.pattern_cap,
-    )
+    asy._require_dichotomy_i(I, args.i)
+    report = _power_rows(args, I, hi)
+    verdict = asy._dichotomy_verdict(report, args.pattern_cap)
     if args.fmt == "json":
         _emit(json.dumps(
             {"verdict": verdict.to_dict(), "report": report.to_dict()},
             separators=(",", ":")))
     elif args.fmt == "csv":
-        _emit(asy.CSV_HEADER)
-        for line in report.csv_rows():
-            _emit(line)
         _emit(f"# case={verdict.case} h_tilde_dim={verdict.h_tilde_dim} "
               f"per_n_consistent={str(verdict.per_n_consistent).lower()} "
               f"remark44_applies={str(verdict.remark44_applies).lower()} "

@@ -264,17 +264,41 @@ def _pattern_count(rho: Sequence[int], d: int, max_g: int) -> int:
 
 
 def _row_keys(masks: np.ndarray) -> np.ndarray:
-    """One sortable key per mask row, for a 1-D ``np.unique``: the row's
-    single uint64 word, or a void view of the whole row."""
+    """One key per mask row, equal for equal rows: the row's single word,
+    in the mask's own unsigned dtype (which the presence table of
+    ``_unique_rows`` indexes by), or a void view of the whole row, which
+    only a sort can deduplicate."""
     if masks.shape[1] == 1:
         return masks[:, 0]
     row = np.dtype((np.void, masks.dtype.itemsize * masks.shape[1]))
     return np.ascontiguousarray(masks).view(row).reshape(-1)
 
 
-def _row_word(row: np.ndarray) -> int:
+def _unique_rows(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(unique_rows, inverse)``: the distinct rows of ``masks`` in key
+    order, and for every row the index of its distinct row.
+
+    Single-word keys, at least ``_DENSE_DEDUP_MIN_KEYS`` of them and all
+    below ``_DENSE_DEDUP_SPAN`` times their count, go through a presence
+    table over the key range: flag every key, number the flags by a running
+    sum. Any other call sorts, through ``np.unique``.
+    """
+    keys = _row_keys(masks)
+    if masks.shape[1] == 1 and keys.size >= _kernels._DENSE_DEDUP_MIN_KEYS:
+        top = int(keys.max())
+        if top < _kernels._DENSE_DEDUP_SPAN * keys.size:
+            flags = np.zeros(top + 1, dtype=bool)
+            flags[keys] = True
+            ids = np.cumsum(flags) - 1
+            uniq = np.flatnonzero(flags).astype(masks.dtype)
+            return uniq.reshape(-1, 1), ids[keys]
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    return uniq.view(masks.dtype).reshape(-1, masks.shape[1]), inverse
+
+
+def _row_word(row: Sequence[int]) -> int:
     """The bits of a mask row as one Python int (word w holds bits 64w..)."""
-    return sum(int(w) << (64 * k) for k, w in enumerate(row))
+    return sum(w << (64 * k) for k, w in enumerate(row))
 
 
 def _require_inside_box(
@@ -310,6 +334,12 @@ def cohomology_tables(
     (|F| <= q + 2 with q = i - |G| - 1), and each unique complex yields
     H~_q for every requested q, filed under i = q + |G| + 1. Sizes |G| > i
     contribute nothing to table i: their homology degree is below -1.
+
+    The scan's mask rows are deduplicated by ``_unique_rows``: through a
+    presence table when the keys are single words, many and dense (the
+    usual case for powers, whose key space at each G is small), else by
+    ``np.unique``'s sort. Both give the distinct rows in key order and the
+    same partition of the patterns.
 
     Raises ResourceCapError, naming the first i over ``pattern_cap``, before
     anything is scanned, and InternalConsistencyError if a nonzero entry of
@@ -354,12 +384,10 @@ def cohomology_tables(
                 tuple(j for j in range(d) if f >> j & 1) for f in cand
             ]
             masks = _kernels.scan_face_masks(box, free_axes, list(g_combo), face_axes)
-            _, first, inverse = np.unique(
-                _row_keys(masks), return_index=True, return_inverse=True
-            )
-            dims_u = np.zeros((len(qs), first.size), dtype=np.int64)
-            for u, p in enumerate(first):
-                word = _row_word(masks[p])
+            rows, inverse = _unique_rows(masks)
+            dims_u = np.zeros((len(qs), rows.shape[0]), dtype=np.int64)
+            for u, row in enumerate(rows.tolist()):
+                word = _row_word(row)
                 present = tuple(cand[f] for f in range(len(cand)) if word >> f & 1)
                 key = (qs, present)
                 if key not in memo:
@@ -369,17 +397,18 @@ def cohomology_tables(
             G = tuple(j + 1 for j in g_combo)
             for k, q in enumerate(qs):
                 i = q + g_size + 1
-                dims_flat = dims_u[k][inverse]
-                hits = np.nonzero(dims_flat)[0]
-                if hits.size == 0:
+                nonzero = dims_u[k] != 0
+                if not nonzero.any():
                     continue
+                hits = np.flatnonzero(nonzero[inverse])
                 a_plus = np.zeros((hits.size, d), dtype=np.int64)
                 if free_axes:
                     a_plus[:, free_axes] = np.stack(
                         np.unravel_index(hits, sub_shape), axis=1
                     )
                 _require_inside_box(a_plus, rho, G, i)
-                for row, dim in zip(a_plus.tolist(), dims_flat[hits].tolist()):
+                dims = dims_u[k][inverse[hits]]
+                for row, dim in zip(a_plus.tolist(), dims.tolist()):
                     entries[i][DegreePattern(a_plus=tuple(row), G=G)] = dim
     return {
         i: CohomologyTable(

@@ -79,7 +79,7 @@ class TestPowerSequence:
 
     def test_csv_rows_schema(self):
         rep = power_sequence(parse_ideal("x1*x2", 2), 1, 2)
-        assert rep.csv_rows() == [
+        assert [r.csv_line(rep.i, rep.char, rep.saturated) for r in rep.rows] == [
             "1,1,0,false,false,-inf,0,1",
             "2,1,0,false,false,-inf,2,3",
         ]

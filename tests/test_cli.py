@@ -53,7 +53,8 @@ class TestDelta:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == (
-            "error: R/I is the zero ring; no cohomology to compute\n")
+            "error: the complex Delta(I) of the unit ideal is void; "
+            "it has no faces\n")
 
 
 class TestCohomology:
@@ -299,9 +300,33 @@ class TestExitCodes:
         assert code == 3
         assert "n=3" in err and "i=1" in err and "10" in err
 
+    def test_dichotomy_csv_cap_keeps_earlier_rows(self, capsys):
+        # the rows of the powers before the cap trip stream out, as indeg's
+        # do; the golden is the full run, without the cap
+        code = cli.main(["dichotomy", "--ideal", CYCLE5, "--d", "5",
+                         "--i", "1", "--powers", "1..4", "--pattern-cap", "400",
+                         "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: power n=2: ")
+        full = golden("dichotomy_cycle5_powers.csv").splitlines(keepends=True)
+        assert captured.out == "".join(full[:2])
+        code, out = run_cli(capsys, "dichotomy", "--ideal", CYCLE5, "--d", "5",
+                            "--i", "1", "--powers", "1..4", "--format", "csv")
+        assert code == 0 and out == "".join(full)
+
+    @pytest.mark.parametrize("i", ["0", "2"])
+    def test_dichotomy_csv_checks_i_before_any_row(self, capsys, i):
+        code = cli.main(["dichotomy", "--ideal", "x1*x2", "--d", "2",
+                         "--i", i, "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "dim R/I = 1" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["cohomology", "--i", "0"],
         ["indeg", "--i", "1"],
+        ["dichotomy", "--i", "1"],
         ["reg"],
     ], ids=lambda a: a[0])
     def test_cap_on_first_power_prints_nothing(self, capsys, argv):

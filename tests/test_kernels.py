@@ -36,18 +36,24 @@ class TestUpwardClose:
 
     # Axes on both sides of the per-axis rule: slice maxima on every axis
     # of (7,)*6 and on the length-9 axes of (1, 9, 1, 9, 9, 9), on axis 0
-    # of (2, 1500) and on axis 2 of (600, 1, 4); one accumulate call on
-    # every other axis longer than 1.
+    # of (2, 1500), (600, 1, 4) and (600, 70); one accumulate call on every
+    # other axis longer than 1, the last axis of (600, 70) because it is at
+    # least 64 long although it has cells enough per step for slices.
     ROUTE_SHAPES = [(7,) * 6, (3, 5, 2, 4), (3000,), (2, 1500),
-                    (1, 9, 1, 9, 9, 9), (600, 1, 4), (1, 1, 1)]
+                    (1, 9, 1, 9, 9, 9), (600, 1, 4), (600, 70), (1, 1, 1)]
 
     def test_shapes_straddle_the_rule(self):
-        sliced = set()
+        routes = set()
         for shape in self.ROUTE_SHAPES:
             size = int(np.prod(shape))
-            sliced |= {size >= kr._SLICE_CLOSE_MIN_STEP_CELLS * n
-                       for n in shape if n > 1}
-        assert sliced == {True, False}
+            for ax, n in enumerate(shape):
+                if n > 1:
+                    routes.add((
+                        size >= kr._SLICE_CLOSE_MIN_STEP_CELLS * n,
+                        ax == len(shape) - 1
+                        and n >= kr._ACCUMULATE_LAST_AXIS_MIN_LEN,
+                    ))
+        assert routes >= {(True, False), (False, False), (True, True)}
 
     @pytest.mark.parametrize("shape", ROUTE_SHAPES, ids=str)
     def test_matches_orthant_fill(self, shape):
@@ -64,6 +70,20 @@ class TestUpwardClose:
             assert np.array_equal(box, want)
             kr.upward_close(box)
             assert np.array_equal(box, want)
+
+    def test_wide_box_with_long_last_axis(self):
+        # (2001, 2001): axis 0 by slice maxima, the last axis by accumulate
+        box = membership_box(MonomialIdeal(2, [(2000, 0), (0, 2000)]))
+        want = np.zeros((2001, 2001), dtype=np.uint8)
+        want[2000, :] = 1
+        want[:, 2000] = 1
+        assert np.array_equal(box, want)
+        box = np.zeros((2001, 2001), dtype=np.uint8)
+        box[1000, 1500] = box[1999, 3] = 1
+        want = np.zeros_like(box)
+        want[1000:, 1500:] = want[1999:, 3:] = 1
+        kr.upward_close(box)
+        assert np.array_equal(box, want)
 
     def test_long_axis_box(self):
         box = membership_box(MonomialIdeal(1, [(10**6,)]))
@@ -125,6 +145,39 @@ class TestScanAgainstProbes:
                     probe[j] = shape[j] - 1
                 bit = int(masks[p, f_i >> 6]) >> (f_i & 63) & 1
                 assert bit == (box[tuple(probe)] == 0)
+
+
+class TestScanWords:
+    @pytest.mark.parametrize("nf", [0, 1, 8, 9, 16, 17, 32, 33, 64, 65])
+    def test_narrow_words_hold_the_uint64_bits(self, nf):
+        # the words are the narrowest unsigned type for nf bits, and the
+        # bits are those of a uint64 reference built face by face
+        rng = np.random.default_rng(nf)
+        d = 7
+        shape = tuple(int(x) for x in rng.integers(2, 4, size=d))
+        box = random_box(rng, shape)
+        kr.upward_close(box)
+        g_axes = [5] if nf <= 64 else []
+        free = [j for j in range(d) if j not in g_axes]
+        faces = [f for k in range(len(free) + 1)
+                 for f in combinations(free, k)][:nf]
+        assert len(faces) == nf
+        masks = kr.scan_face_masks(box, free, g_axes, faces)
+        width = next((w for w in (8, 16, 32) if nf <= w), 64)
+        assert masks.dtype == np.dtype(f"uint{width}")
+        assert masks.shape[1] == max(1, (nf + 63) // 64)
+        sub = [shape[j] for j in free]
+        ref = np.zeros((int(np.prod(sub)), masks.shape[1]), dtype=np.uint64)
+        for p, a in enumerate(np.ndindex(*sub)):
+            for f_i, f in enumerate(faces):
+                probe = [0] * d
+                for t, j in enumerate(free):
+                    probe[j] = shape[j] - 1 if j in f else a[t]
+                for j in g_axes:
+                    probe[j] = shape[j] - 1
+                if box[tuple(probe)] == 0:
+                    ref[p, f_i >> 6] |= np.uint64(1) << np.uint64(f_i & 63)
+        assert np.array_equal(masks.astype(np.uint64), ref)
 
 
 class TestRanks:

@@ -1,11 +1,13 @@
 """Degree complexes, cohomology tables, and the degree invariants."""
 
+import types
 from math import comb
 
 import numpy as np
 import pytest
 
 from monocoh import _kernels
+from monocoh import takayama as tk
 from monocoh.errors import ResourceCapError, UnitIdealError
 from monocoh.monomial_core import (
     krull_dimension,
@@ -351,6 +353,94 @@ class TestOneScan:
         with pytest.raises(ValueError):
             cohomology_tables(I, [0, 3], 0)
         assert cohomology_tables(I, [], 0) == {}
+
+
+def recording_unique(monkeypatch) -> list[int]:
+    """Key counts of every ``np.unique`` call made through takayama's ``np``,
+    seen by a stand-in module that monkeypatch restores."""
+    sizes: list[int] = []
+    proxy = types.ModuleType(np.__name__)
+    proxy.__dict__.update(np.__dict__)
+
+    def unique(ar, *args, **kwargs):
+        sizes.append(int(np.asarray(ar).size))
+        return np.unique(ar, *args, **kwargs)
+
+    proxy.unique = unique
+    monkeypatch.setattr(tk, "np", proxy)
+    return sizes
+
+
+class TestMaskDedup:
+    """``_unique_rows`` against the sort it replaces: the same distinct
+    rows in the same order and the same partition of the patterns, on both
+    sides of the presence-table thresholds."""
+
+    MIN = _kernels._DENSE_DEDUP_MIN_KEYS
+    SPAN = _kernels._DENSE_DEDUP_SPAN
+
+    @staticmethod
+    def check(masks):
+        rows, inverse = tk._unique_rows(masks)
+        _, first, want = np.unique(
+            tk._row_keys(masks), return_index=True, return_inverse=True)
+        assert rows.dtype == masks.dtype
+        assert np.array_equal(rows, masks[first])
+        assert np.array_equal(inverse, want)
+        assert np.array_equal(rows[inverse], masks)
+
+    @pytest.mark.parametrize("n, top, dense", [
+        (MIN - 1, 3 * (MIN - 1), False),
+        (MIN, 3 * MIN, True),
+        (MIN, SPAN * MIN - 1, True),
+        (MIN, SPAN * MIN, False),
+        (5 * MIN, SPAN * 5 * MIN - 1, True),
+    ])
+    def test_thresholds(self, monkeypatch, n, top, dense):
+        sorted_sizes = recording_unique(monkeypatch)
+        rng = np.random.default_rng(n + top)
+        keys = rng.integers(0, top + 1, size=n)
+        keys[rng.integers(0, n)] = top
+        self.check(keys.astype(np.uint32).reshape(-1, 1))
+        assert sorted_sizes == ([] if dense else [n])
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+    @pytest.mark.parametrize("value", [0, 5])
+    def test_all_equal_keys(self, monkeypatch, dtype, value):
+        sorted_sizes = recording_unique(monkeypatch)
+        masks = np.full((2 * self.MIN, 1), value, dtype=dtype)
+        rows, inverse = tk._unique_rows(masks)
+        assert rows.tolist() == [[value]] and not inverse.any()
+        self.check(masks)
+        assert sorted_sizes == []
+
+    @pytest.mark.parametrize("n", [7, 2 * MIN])
+    def test_multiword_masks_sort(self, monkeypatch, n):
+        sorted_sizes = recording_unique(monkeypatch)
+        rng = np.random.default_rng(n)
+        masks = rng.integers(0, 3, size=(n, 2)).astype(np.uint64)
+        masks[:, 1] <<= np.uint64(62)
+        self.check(masks)
+        assert sorted_sizes == [n]
+
+    def test_cycle_grid_tables_take_the_presence_table(self, monkeypatch):
+        # a cycle-grid-shaped table: every scan of at least MIN patterns
+        # is deduplicated without a sort
+        sorted_sizes = recording_unique(monkeypatch)
+        scanned = []
+        scan = _kernels.scan_face_masks
+
+        def counting(*args):
+            masks = scan(*args)
+            scanned.append(masks.shape[0])
+            return masks
+
+        monkeypatch.setattr(_kernels, "scan_face_masks", counting)
+        J = saturate_irrelevant(power(cycle_ideal(6), 4))
+        want = oracles.cycle_table_oracle(6, 4, 1)
+        assert entry_map(cohomology_table(J, 1)) == want
+        assert max(scanned) >= self.MIN
+        assert sorted_sizes and max(sorted_sizes) < self.MIN
 
 
 class TestExtendedDegreeInvariants:
