@@ -120,10 +120,11 @@ def scan_face_masks(
     """Face-presence bitmasks of degree complexes, over a whole pattern box.
 
     ``box`` is an upward-closed membership box of shape ``rho + 1``. For each
-    exponent pattern ``a`` ranging over the sub-box spanned by ``free_axes``
-    (C order, ascending axis index; axes in ``g_axes`` pinned to 0), and for
-    each candidate face ``F`` (a tuple of free axes), face ``F`` is present
-    iff the box is 0 at the probe point with coordinates ``rho_j`` on
+    exponent pattern ``a`` ranging over the interior ``0 <= a_j < rho_j`` of
+    the sub-box spanned by ``free_axes`` (C order, ascending axis index; axes
+    in ``g_axes`` pinned to 0; no rows if some ``rho_j = 0``), and for each
+    candidate face ``F`` (a tuple of free axes), face ``F`` is present iff
+    the box is 0 at the probe point with coordinates ``rho_j`` on
     ``g_axes + F`` and ``a_j`` elsewhere.
 
     Returns a ``(npat, max(1, ceil(nf / 64)))`` array of mask words; bit
@@ -133,7 +134,7 @@ def scan_face_masks(
     uint16 up to 16, uint32 up to 32, else uint64.
     """
     shape = box.shape
-    sub_dims = [shape[j] for j in free_axes]
+    sub_dims = [shape[j] - 1 for j in free_axes]
     nf = len(faces)
     npat = math.prod(sub_dims)
     nw = max(1, (nf + 63) // 64)
@@ -151,7 +152,7 @@ def scan_face_masks(
     for f_i, f in enumerate(faces):
         idx = tuple(
             shape[j] - 1 if j in g_set else slice(-1, None) if j in f
-            else slice(None)
+            else slice(0, -1)
             for j in range(len(shape))
         )
         presence = (box[idx] == 0).astype(word) << word.type(f_i & 63)

@@ -9,6 +9,11 @@ every membership test compares a⁺_j against generator exponents that never
 exceed rho_j. That makes the whole module a finite table of degree patterns,
 which is what this module computes.
 
+Only the interior a⁺_j < rho_j can be nonzero: if a⁺_j >= rho_j for some j
+outside G_a, no generator exceeds a⁺_j in coordinate j, so j is a cone point
+of Δ_a and its reduced homology vanishes. The scan visits only that interior;
+an axis with rho_j = 0 (a variable absent from I) has none.
+
 The pattern scan works on an upward-closed membership box: a face probe is
 one array lookup at the point with coordinates rho_j on F ∪ G and a⁺_j
 elsewhere. Candidate faces are restricted to faces of Δ(I), since every
@@ -94,6 +99,14 @@ class DegreePattern:
     def __post_init__(self):
         if any(self.a_plus[g - 1] != 0 for g in self.G):
             raise ValueError("a_plus must vanish on G")
+
+    @classmethod
+    def _from_scan(cls, a_plus: tuple, G: tuple) -> "DegreePattern":
+        """Trusted constructor: a_plus already vanishes on G."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "a_plus", a_plus)
+        object.__setattr__(obj, "G", G)
+        return obj
 
     @property
     def total_degree(self) -> int:
@@ -251,8 +264,9 @@ def cohomology_dim_at(
 
 
 def _pattern_count(rho: Sequence[int], d: int, max_g: int) -> int:
-    """Number of scanned patterns: sum over |G| <= max_g of the free box
-    volume prod_{j not in G} (rho_j + 1), via a subset-size DP."""
+    """Patterns the cap counts: sum over |G| <= max_g of the clamped free box
+    volume prod_{j not in G} (rho_j + 1), via a subset-size DP; an upper
+    bound on the interiors prod_{j not in G} rho_j that are scanned."""
     coeffs = [1]
     for j in range(d):
         nxt = [0] * (len(coeffs) + 1)
@@ -301,24 +315,6 @@ def _row_word(row: Sequence[int]) -> int:
     return sum(w << (64 * k) for k, w in enumerate(row))
 
 
-def _require_inside_box(
-    a_plus: np.ndarray, rho: tuple[int, ...], G: tuple[int, ...], i: int
-) -> None:
-    """Raise InternalConsistencyError if a nonzero entry sits on the clamping
-    boundary a⁺_j = rho_j >= 1 (impossible for correct data: local
-    cohomology is Artinian, and such a pattern would repeat in unboundedly
-    high degrees). Rows of ``a_plus`` are 0 on G, so G never matches."""
-    rho_arr = np.asarray(rho, dtype=np.int64)
-    on_edge = ((a_plus == rho_arr) & (rho_arr >= 1)).any(axis=1)
-    if on_edge.any():
-        pat = DegreePattern(tuple(a_plus[np.argmax(on_edge)].tolist()), G)
-        raise InternalConsistencyError(
-            f"nonzero entry at the clamping boundary: pattern "
-            f"{pat} with rho={rho} (i={i}); local cohomology is "
-            f"Artinian, so this indicates a bug"
-        )
-
-
 def cohomology_tables(
     I: MonomialIdeal,
     i_values: Iterable[int],
@@ -329,7 +325,8 @@ def cohomology_tables(
 
     Δ_a(I) depends on (G, a⁺) only, so each G with |G| <= max i is scanned
     once. Subsets G are visited by increasing size then lexicographic order,
-    and for each G the clamped a⁺ box is swept in C order. The candidate
+    and for each G the interior a⁺_j < rho_j of the free axes is swept in C
+    order (a G with a free rho_j = 0 has none and is skipped). The candidate
     faces are those the widest requested homology degree at that G needs
     (|F| <= q + 2 with q = i - |G| - 1), and each unique complex yields
     H~_q for every requested q, filed under i = q + |G| + 1. Sizes |G| > i
@@ -342,9 +339,7 @@ def cohomology_tables(
     same partition of the patterns.
 
     Raises ResourceCapError, naming the first i over ``pattern_cap``, before
-    anything is scanned, and InternalConsistencyError if a nonzero entry of
-    any table sits on the clamping boundary (checked on every block of
-    entries as it is filed).
+    anything is scanned.
     """
     _require_module(I)
     d = _validate_d(I.d)
@@ -373,6 +368,9 @@ def cohomology_tables(
             for j in g_combo:
                 gmask |= 1 << j
             free_axes = [j for j in range(d) if not gmask >> j & 1]
+            sub_shape = tuple(rho[j] for j in free_axes)
+            if 0 in sub_shape:
+                continue
             # cells beyond dimension q+1 cannot affect H~_q: the widest
             # requested q at this G decides
             cand = [
@@ -393,7 +391,6 @@ def cohomology_tables(
                 if key not in memo:
                     memo[key] = homology_dims_from_masks(present, char, qs)
                 dims_u[:, u] = [memo[key].get(q, 0) for q in qs]
-            sub_shape = tuple(box.shape[j] for j in free_axes)
             G = tuple(j + 1 for j in g_combo)
             for k, q in enumerate(qs):
                 i = q + g_size + 1
@@ -406,10 +403,9 @@ def cohomology_tables(
                     a_plus[:, free_axes] = np.stack(
                         np.unravel_index(hits, sub_shape), axis=1
                     )
-                _require_inside_box(a_plus, rho, G, i)
                 dims = dims_u[k][inverse[hits]]
                 for row, dim in zip(a_plus.tolist(), dims.tolist()):
-                    entries[i][DegreePattern(a_plus=tuple(row), G=G)] = dim
+                    entries[i][DegreePattern._from_scan(tuple(row), G)] = dim
     return {
         i: CohomologyTable(
             i=i,

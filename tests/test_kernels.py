@@ -123,19 +123,25 @@ class TestScanAgainstProbes:
     def test_bits_are_box_probes(self, g_count):
         # every bit against a direct probe of the box, with more than 64
         # faces so that faces land in the second mask word; g_count = 7
-        # leaves no free axis, so one pattern and only the empty face
+        # leaves no free axis, so one pattern and only the empty face.
+        # Free axes have length >= 2, so every scan has interior rows; G
+        # axes keep their draws, length 1 included.
         rng = np.random.default_rng(40 + g_count)
         d = 7
-        shape = tuple(int(x) for x in rng.integers(1, 4, size=d))
-        box = random_box(rng, shape)
-        kr.upward_close(box)
+        shape = [int(x) for x in rng.integers(1, 4, size=d)]
         g_axes = sorted(rng.choice(d, size=g_count, replace=False).tolist())
         free = [j for j in range(d) if j not in g_axes]
+        for j in free:
+            shape[j] += 1
+        shape = tuple(shape)
+        box = random_box(rng, shape)
+        kr.upward_close(box)
         faces = [f for k in range(len(free) + 1)
                  for f in combinations(free, k)][:80]
         masks = kr.scan_face_masks(box, free, g_axes, faces)
-        sub = [shape[j] for j in free]
+        sub = [shape[j] - 1 for j in free]
         assert masks.shape == (int(np.prod(sub)), (len(faces) + 63) // 64)
+        assert (masks.shape[0] == 1) == (g_count == d)
         for p, a in enumerate(np.ndindex(*sub)):
             for f_i, f in enumerate(faces):
                 probe = [0] * d
@@ -166,7 +172,7 @@ class TestScanWords:
         width = next((w for w in (8, 16, 32) if nf <= w), 64)
         assert masks.dtype == np.dtype(f"uint{width}")
         assert masks.shape[1] == max(1, (nf + 63) // 64)
-        sub = [shape[j] for j in free]
+        sub = [shape[j] - 1 for j in free]
         ref = np.zeros((int(np.prod(sub)), masks.shape[1]), dtype=np.uint64)
         for p, a in enumerate(np.ndindex(*sub)):
             for f_i, f in enumerate(faces):
@@ -178,6 +184,15 @@ class TestScanWords:
                 if box[tuple(probe)] == 0:
                     ref[p, f_i >> 6] |= np.uint64(1) << np.uint64(f_i & 63)
         assert np.array_equal(masks.astype(np.uint64), ref)
+
+    @pytest.mark.parametrize("g_axes", [[], [0], [2]])
+    def test_free_axis_of_length_one_gives_no_rows(self, g_axes):
+        # a free axis with rho_j = 0 has an empty interior 0..rho_j - 1
+        box = np.zeros((3, 1, 2), dtype=np.uint8)
+        free = [j for j in range(3) if j not in g_axes]
+        faces = [(), (free[0],)]
+        masks = kr.scan_face_masks(box, free, g_axes, faces)
+        assert masks.shape == (0, 1)
 
 
 class TestRanks:

@@ -1,7 +1,7 @@
 """Degree complexes, cohomology tables, and the degree invariants."""
 
 import types
-from math import comb
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -205,7 +205,8 @@ class TestTable:
                 assert cohomology_table(I, i, 0).entries == {}
 
     def test_artinian_bound_holds_on_corpus(self, small_corpus):
-        # the hard check lives inside cohomology_table; a violation raises
+        # the scan visits only a⁺_j < rho_j; TestOneScan's boundary oracle
+        # checks that the degrees it skips vanish
         for I in small_corpus:
             rho = var_degree_bounds(I).rho
             for i in range(0, I.d + 1):
@@ -320,13 +321,22 @@ class TestOneScan:
             return scan(box, free_axes, g_axes, faces)
 
         monkeypatch.setattr(_kernels, "scan_face_masks", counting)
-        for J in small_corpus[:20] + [cycle_ideal(6)]:
+        # x1*x2 in d = 3: x3 is absent (rho_3 = 0), so every scanned G contains it
+        absent = parse_ideal("x1*x2", 3)
+        for J in small_corpus[:20] + [cycle_ideal(6), absent]:
             calls.clear()
             regularity(J, 0)
             top = krull_dimension(J)
+            rho = var_degree_bounds(J).rho
+            # one scan per G whose free axes all have an interior
+            want = [
+                g for k in range(top + 1) for g in combinations(range(J.d), k)
+                if all(rho[j] >= 1 for j in range(J.d) if j not in g)
+            ]
             assert len(calls) == len(set(calls))
-            assert len(calls) == sum(comb(J.d, g) for g in range(top + 1))
+            assert sorted(calls) == sorted(want)
             assert max(len(g) for g in calls) == top
+        assert calls == [(2,), (0, 2), (1, 2)]
 
     def test_cap_names_first_degree_over_it(self, monkeypatch):
         I = cycle_ideal(5)  # rho = 1: 32 patterns at i=0, 112 at i=1
@@ -337,16 +347,32 @@ class TestOneScan:
             cohomology_tables(I, range(6), 0, pattern_cap=100)
         assert scanned == []
 
-    def test_clamping_boundary_check(self):
-        from monocoh.errors import InternalConsistencyError
-        from monocoh.takayama import _require_inside_box
-
-        rho = (2, 0, 3)
-        _require_inside_box(np.array([[1, 0, 2], [0, 0, 0]]), rho, (), 1)
-        with pytest.raises(InternalConsistencyError, match=r"a_plus=\(0, 0, 3\)"):
-            _require_inside_box(np.array([[1, 0, 2], [0, 0, 3]]), rho, (), 2)
-        with pytest.raises(InternalConsistencyError, match="i=2"):
-            _require_inside_box(np.array([[2, 0, 0]]), rho, (3,), 2)
+    def test_boundary_degrees_vanish(self, small_corpus):
+        # the scan skips every degree with a_j >= rho_j for some j outside
+        # G (vertex j is a cone point of Δ_a); degree_complex knows no such
+        # shortcut, so cohomology_dim_at checks the skip independently
+        rng = np.random.default_rng(20261018)
+        cycles = [power(cycle_ideal(5), n) for n in (2, 3)]
+        ideals = small_corpus + cycles + [saturate_irrelevant(J) for J in cycles]
+        draws = absent_axes = with_g = 0
+        for I in ideals:
+            rho = var_degree_bounds(I).rho
+            for _ in range(1 if I.d < 5 else 4):
+                g_size = int(rng.integers(0, I.d))
+                G = rng.choice(I.d, size=g_size, replace=False).tolist()
+                free = [j for j in range(I.d) if j not in G]
+                edge = free[int(rng.integers(0, len(free)))]
+                a = [int(rng.integers(0, r + 1)) for r in rho]
+                a[edge] = rho[edge] + int(rng.integers(0, 2))
+                for j in G:
+                    a[j] = -int(rng.integers(1, 3))
+                for char in (0, 2):
+                    for i in range(I.d + 1):
+                        assert cohomology_dim_at(I, i, a, char) == 0, (I, a, i)
+                draws += 1
+                absent_axes += rho[edge] == 0
+                with_g += g_size >= 1
+        assert draws == 76 and absent_axes >= 5 and with_g >= 20
 
     def test_rejects_bad_degree_and_empty_request(self):
         I = parse_ideal("x1*x2", 2)
