@@ -21,9 +21,7 @@ from .monomial_core import (
     MonomialIdeal,
     VarDegreeBounds,
     contains,
-    hilbert_function,
     krull_dimension,
-    minimalize,
     parse_ideal,
     power,
     project,
@@ -76,9 +74,7 @@ __all__ = [
     "MonomialIdeal",
     "VarDegreeBounds",
     "contains",
-    "hilbert_function",
     "krull_dimension",
-    "minimalize",
     "parse_ideal",
     "power",
     "project",

@@ -44,9 +44,6 @@ class PowerRow:
     finite_length: bool
     reg: ExtendedDegree
 
-    def astuple(self) -> tuple:
-        return (self.n, self.indeg, self.topdeg, self.finite_length, self.reg)
-
     def csv_line(self, i: int, char: int, saturated: bool) -> str:
         """The row under CSV_HEADER."""
         return (

@@ -29,10 +29,6 @@ _BOX_CELL_CAP = 1 << 22
 
 _INT64_MAX = np.iinfo(np.int64).max
 
-# Direct lattice enumeration for Hilbert counting is used below this many
-# degree-t points; beyond it, inclusion-exclusion with lcm pruning runs.
-_HILBERT_ENUM_CAP = 200_000
-
 # Face enumeration (radical complexes, Krull dimension) works on bitmasks.
 MAX_VARIABLES = 20
 
@@ -56,20 +52,6 @@ class Monomial:
     @property
     def d(self) -> int:
         return len(self.exponents)
-
-    @property
-    def total_degree(self) -> int:
-        return sum(self.exponents)
-
-    def divides(self, other: "Monomial") -> bool:
-        if other.d != self.d:
-            raise ValueError("monomials from different rings")
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if other.d != self.d:
-            raise ValueError("monomials from different rings")
-        return Monomial(a + b for a, b in zip(self.exponents, other.exponents))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.exponents == other.exponents
@@ -319,16 +301,6 @@ def parse_ideal(text: str, d: int) -> MonomialIdeal:
     return MonomialIdeal(d, gens)
 
 
-def minimalize(gens: Iterable[Monomial]) -> set[Monomial]:
-    """Divisibility-minimal subset generating the same ideal."""
-    monos = list(gens)
-    if not monos:
-        return set()
-    d = monos[0].d
-    rows = _minimal_rows(_as_rows(d, monos))
-    return {Monomial(row) for row in rows}
-
-
 def contains(I: MonomialIdeal, mono) -> bool:
     """Whether x^a lies in I, i.e. some minimal generator divides it."""
     exps = mono.exponents if isinstance(mono, Monomial) else tuple(int(e) for e in mono)
@@ -421,62 +393,6 @@ def var_degree_bounds(I: MonomialIdeal) -> VarDegreeBounds:
     if I.is_zero:
         return VarDegreeBounds(rho=(0,) * I.d)
     return VarDegreeBounds(rho=tuple(int(x) for x in I._exps.max(axis=0)))
-
-
-def _compositions(t: int, d: int):
-    if d == 1:
-        yield (t,)
-        return
-    for first in range(t + 1):
-        for rest in _compositions(t - first, d - 1):
-            yield (first,) + rest
-
-
-def _hilbert_enumerate(I: MonomialIdeal, t: int) -> int:
-    exps = I._exps
-    count = 0
-    for comp in _compositions(t, I.d):
-        b = np.asarray(comp, dtype=np.int64)
-        if not np.all(exps <= b, axis=1).any():
-            count += 1
-    return count
-
-
-def _hilbert_inclusion_exclusion(I: MonomialIdeal, t: int) -> int:
-    d = I.d
-    order = np.argsort(I._exps.sum(axis=1), kind="stable")
-    exps = I._exps[order]
-    m = exps.shape[0]
-    total = 0
-
-    def rec(start: int, lcm: np.ndarray, sign: int) -> None:
-        nonlocal total
-        total += sign * math.comb(t - int(lcm.sum()) + d - 1, d - 1)
-        for j in range(start, m):
-            new = np.maximum(lcm, exps[j])
-            if int(new.sum()) <= t:
-                rec(j + 1, new, -sign)
-
-    rec(0, np.zeros(d, dtype=np.int64), 1)
-    return total
-
-
-def hilbert_function(I: MonomialIdeal, t: int) -> int:
-    """Number of monomials of total degree t outside I (a k-basis of (R/I)_t).
-
-    Two routes: direct lattice enumeration when the degree-t slice is small,
-    inclusion-exclusion over generator subsets with lcm-degree pruning
-    otherwise. They agree; the split is purely about cost.
-    """
-    if I.is_unit:
-        raise UnitIdealError("R/I is the zero ring; Hilbert values are undefined")
-    if t < 0:
-        return 0
-    if I.is_zero:
-        return math.comb(t + I.d - 1, I.d - 1)
-    if math.comb(t + I.d - 1, I.d - 1) <= _HILBERT_ENUM_CAP:
-        return _hilbert_enumerate(I, t)
-    return _hilbert_inclusion_exclusion(I, t)
 
 
 def _radical_face_flags(I: MonomialIdeal) -> np.ndarray:

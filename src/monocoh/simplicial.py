@@ -87,18 +87,6 @@ class SimplicialComplex:
         return self._facets == (0,)
 
     @property
-    def kind(self) -> str:
-        if self.is_void:
-            return "void"
-        if self.is_irrelevant:
-            return "irrelevant"
-        return "ordinary"
-
-    @property
-    def facet_masks(self) -> tuple[int, ...]:
-        return self._facets
-
-    @property
     def facets(self) -> tuple[tuple[int, ...], ...]:
         """Facets as sorted 1-based vertex tuples, lexicographically ordered."""
         return tuple(_mask_to_vertices(m) for m in self._facets)

@@ -55,6 +55,26 @@ def corpus(seed: int, count: int, dims, **kw) -> list[MonomialIdeal]:
     return out
 
 
+def boundary_degree(
+    rng: np.random.Generator, rho: tuple[int, ...]
+) -> tuple[list[int], list[int], int]:
+    """(a, G, edge) for an ideal with generator bounds rho: a random degree
+    whose free coordinate ``edge`` sits at rho_edge or rho_edge + 1, so that
+    vertex edge cones Δ_a(I) and every H^i_m(R/I)_a vanishes. G (0-based)
+    holds the negative coordinates, each -1 or -2; the other free
+    coordinates lie in 0..rho_j."""
+    d = len(rho)
+    g_size = int(rng.integers(0, d))
+    G = rng.choice(d, size=g_size, replace=False).tolist()
+    free = [j for j in range(d) if j not in G]
+    edge = free[int(rng.integers(0, len(free)))]
+    a = [int(rng.integers(0, r + 1)) for r in rho]
+    a[edge] = rho[edge] + int(rng.integers(0, 2))
+    for j in G:
+        a[j] = -int(rng.integers(1, 3))
+    return a, G, edge
+
+
 @pytest.fixture(scope="session")
 def small_corpus() -> list[MonomialIdeal]:
     """Mixed ideals in 2..4 variables, generator degree at most 3."""

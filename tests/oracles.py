@@ -10,6 +10,8 @@ small inputs the tests feed in.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -219,6 +221,67 @@ def brute_hilbert(I: MonomialIdeal, t: int) -> int:
         if not brute_membership(I, tuple(expo)):
             count += 1
     return count
+
+
+def _binomial_poly(n: int, r: int) -> int:
+    """C(n, r) = n(n-1)...(n-r+1) / r! as a polynomial in n, for any integer n."""
+    num = 1
+    for k in range(r):
+        num *= n - k
+    return num // math.factorial(r)
+
+
+def euler_characteristic_oracle(
+    I: MonomialIdeal, ts
+) -> dict[int, tuple[int, int]]:
+    """{t: (HF(t), HF(t) - HP(t))} for R/I, from a brute-force membership box.
+
+    Every cell c of the box 0..rho outside I stands for the standard
+    monomials b that clamp to it: b_j = c_j where c_j < rho_j, b_j >= rho_j
+    where c_j = rho_j. With s = |c| and k the number of axes at rho_j, C(t -
+    s + k - 1, k - 1) of them have degree t, or [t = s] when k = 0. HP is the
+    same sum with each binomial read as a polynomial in t and the k = 0
+    cells left out. By Grothendieck-Serre (Bruns-Herzog, Cohen-Macaulay
+    Rings, Thm 4.4.3), HF(t) - HP(t) = sum_i (-1)^i dim H^i_m(R/I)_t, which
+    ``table_euler_characteristic`` reads off the computed tables.
+    """
+    rho = [max(col) for col in zip(*I.exponent_matrix.tolist())]
+    cells: Counter = Counter()
+    for c in itertools.product(*(range(r + 1) for r in rho)):
+        if not brute_membership(I, c):
+            cells[sum(c), sum(cj == rj for cj, rj in zip(c, rho))] += 1
+    out = {}
+    for t in ts:
+        hf = hp = 0
+        for (s, k), count in cells.items():
+            if k == 0:
+                hf += count * (t == s)
+                continue
+            poly = count * _binomial_poly(t - s + k - 1, k - 1)
+            hp += poly
+            if t >= s:
+                hf += poly
+        out[t] = (hf, hf - hp)
+    return out
+
+
+def table_euler_characteristic(tables: dict, t: int) -> int:
+    """sum_i (-1)^i dim H^i_m(R/I)_t from tables {i: CohomologyTable}.
+
+    An entry (a⁺, G) with g = |G| >= 1 stands for every degree with
+    a_j <= -1 on G and a⁺ elsewhere; C(|a⁺| - t - 1, g - 1) of them have
+    total degree t. An entry with g = 0 is the single degree a⁺.
+    """
+    total = 0
+    for i, table in tables.items():
+        for p, dim in table.entries.items():
+            n, g = sum(p.a_plus) - t, len(p.G)
+            if g == 0:
+                count = int(n == 0)
+            else:
+                count = math.comb(n - 1, g - 1) if n >= 1 else 0
+            total += (-1) ** i * dim * count
+    return total
 
 
 # ---------------------------------------------------------------------------

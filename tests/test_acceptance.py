@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import corpus, cycle_ideal, record_acceptance
+from conftest import boundary_degree, corpus, cycle_ideal, record_acceptance
 
 from monocoh.monomial_core import (
     krull_dimension,
@@ -187,22 +187,20 @@ class TestCriterion4:
 
 class TestCriterion5:
     def test_artinian_bound_and_exit_path(self, capsys):
-        ideals = corpus(88, 80, (2, 3, 4))
-        hits = 0
-        scanned = 0
-        for I in ideals:
+        # the scan never visits a degree with a free a_j >= rho_j (vertex j
+        # cones Δ_a); cohomology_dim_at has no such shortcut, so a seeded
+        # draw of such boundary degrees checks that they vanish
+        rng = np.random.default_rng(5)
+        checked = with_g = nonzero = 0
+        for I in corpus(88, 80, (2, 3, 4)):
             rho = var_degree_bounds(I).rho
-            for i in range(0, I.d + 1):
-                # the scan visits only a⁺_j < rho_j, so this holds by
-                # construction; test_takayama's boundary oracle checks that
-                # the skipped degrees vanish
-                t = cohomology_table(I, i, 0)
-                for p in t.entries:
-                    scanned += 1
-                    for j in range(I.d):
-                        if (j + 1) not in p.G and rho[j] >= 1:
-                            if p.a_plus[j] == rho[j]:
-                                hits += 1
+            for _ in range(2):
+                a, G, _ = boundary_degree(rng, rho)
+                nonzero += sum(
+                    cohomology_dim_at(I, i, a, 0) != 0 for i in range(I.d + 1)
+                )
+                checked += 1
+                with_g += len(G) >= 1
         # the exit-4 plumbing: a forced violation must surface as status 4
         import monocoh.cli as cli
         from monocoh.errors import InternalConsistencyError
@@ -219,9 +217,9 @@ class TestCriterion5:
         capsys.readouterr()
         verdict(
             5,
-            hits == 0 and scanned > 0 and code == 4,
-            f"{scanned} entries scanned, {hits} Artinian-bound hits, "
-            f"forced violation exits {code}",
+            nonzero == 0 and checked == 160 and with_g >= 40 and code == 4,
+            f"{checked} boundary degrees checked ({with_g} with G nonempty), "
+            f"{nonzero} nonzero pieces, forced violation exits {code}",
         )
 
 

@@ -34,7 +34,7 @@ from monocoh.takayama import (
 )
 
 import oracles
-from conftest import corpus, cycle_ideal
+from conftest import boundary_degree, corpus, cycle_ideal
 
 
 def entry_map(table: CohomologyTable) -> dict:
@@ -282,6 +282,28 @@ class TestHochsterOracle:
         assert len(want) == 7
 
 
+class TestEulerCharacteristic:
+    def test_grothendieck_serre(self):
+        # sum_i (-1)^i dim H^i_m(R/I)_t = HF(t) - HP(t) checks every i of a
+        # non-squarefree table at once; the ring side is a brute-force box
+        ideals = [I for I in corpus(20261019, 60, (2, 3, 4))
+                  if I.exponent_matrix.max() >= 2][:40]
+        cycles = [power(cycle_ideal(5), n) for n in (1, 2, 3)]
+        ideals += cycles + [saturate_irrelevant(J) for J in cycles]
+        assert len(ideals) == 46
+        nonzero = 0
+        for I in ideals:
+            tables = cohomology_tables(I, range(I.d + 1), 0)
+            top = max(sum(var_degree_bounds(I).rho) + 2, 6)
+            ring = oracles.euler_characteristic_oracle(I, range(-8, top + 1))
+            for t, (hf, chi) in ring.items():
+                assert oracles.table_euler_characteristic(tables, t) == chi, (I, t)
+                nonzero += chi != 0
+                if 0 <= t <= 4:
+                    assert hf == oracles.brute_hilbert(I, t), (I, t)
+        assert nonzero >= 100
+
+
 class TestOneScan:
     """cohomology_tables: one scan of the degree patterns for every i."""
 
@@ -358,20 +380,13 @@ class TestOneScan:
         for I in ideals:
             rho = var_degree_bounds(I).rho
             for _ in range(1 if I.d < 5 else 4):
-                g_size = int(rng.integers(0, I.d))
-                G = rng.choice(I.d, size=g_size, replace=False).tolist()
-                free = [j for j in range(I.d) if j not in G]
-                edge = free[int(rng.integers(0, len(free)))]
-                a = [int(rng.integers(0, r + 1)) for r in rho]
-                a[edge] = rho[edge] + int(rng.integers(0, 2))
-                for j in G:
-                    a[j] = -int(rng.integers(1, 3))
+                a, G, edge = boundary_degree(rng, rho)
                 for char in (0, 2):
                     for i in range(I.d + 1):
                         assert cohomology_dim_at(I, i, a, char) == 0, (I, a, i)
                 draws += 1
                 absent_axes += rho[edge] == 0
-                with_g += g_size >= 1
+                with_g += len(G) >= 1
         assert draws == 76 and absent_axes >= 5 and with_g >= 20
 
     def test_rejects_bad_degree_and_empty_request(self):
