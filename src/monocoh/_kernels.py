@@ -75,7 +75,8 @@ def upward_close(box: np.ndarray) -> None:
 
 
 def minimal_cells(box: np.ndarray) -> np.ndarray:
-    """Cells of a 0/1 box that are set but have no set predecessor.
+    """Boolean mask of the cells of a 0/1 box that are set but have no set
+    predecessor.
 
     For an upward-closed box these are exactly the minimal exponent vectors
     of the monomial set the box encodes.
@@ -89,7 +90,7 @@ def minimal_cells(box: np.ndarray) -> np.ndarray:
         hi[ax] = slice(1, None)
         lo[ax] = slice(None, -1)
         out[tuple(hi)] &= box[tuple(lo)] == 0
-    return out.astype(np.uint8)
+    return out
 
 
 def pairwise_minimal(exps: np.ndarray) -> np.ndarray:

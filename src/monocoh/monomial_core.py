@@ -23,9 +23,14 @@ import numpy as np
 from . import _kernels
 from .errors import IdealSyntaxError, UnitIdealError
 
-# Boxes with at most this many cells use the grid route for minimalization
-# and saturation; larger problems fall back to pairwise comparisons.
-_BOX_CELL_CAP = 1 << 22
+# Boxes with at most this many cells use the grid route for powers,
+# minimalization and saturation; larger problems fall back to pairwise
+# comparisons. Equal to takayama.DEFAULT_PATTERN_CAP, so every power whose
+# table the pattern scan accepts is built as one box.
+_BOX_CELL_CAP = 10_000_000
+# Generator sums formed per step of the power box, at most: bounds the
+# temporary index array whatever the number of generators.
+_SUM_CHUNK = 1 << 20
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -48,10 +53,6 @@ class Monomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
-
-    @property
-    def d(self) -> int:
-        return len(self.exponents)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.exponents == other.exponents
@@ -125,8 +126,19 @@ def _box_cells(maxs) -> int:
 
 
 def _box_generators(box: np.ndarray) -> np.ndarray:
-    """Minimal exponent vectors of an upward-closed box, in lex order."""
-    return np.argwhere(_kernels.minimal_cells(box) != 0).astype(np.int64)
+    """Minimal exponent vectors of an upward-closed box, in lex order (the
+    order of C-order flat indices)."""
+    flat = np.flatnonzero(_kernels.minimal_cells(box))
+    return np.stack(np.unravel_index(flat, box.shape), axis=1).astype(np.int64)
+
+
+def _cropped_box(box: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """Read-only box of shape rho + 1, rho the column maxima of exps (the
+    minimal generators of the up-closed box)."""
+    crop = tuple(slice(0, int(r) + 1) for r in exps.max(axis=0))
+    box = np.ascontiguousarray(box[crop])
+    box.setflags(write=False)
+    return box
 
 
 class MonomialIdeal:
@@ -136,7 +148,7 @@ class MonomialIdeal:
     byte-identical matrices, so equality and hashing are structural.
     """
 
-    __slots__ = ("d", "_exps")
+    __slots__ = ("d", "_exps", "_box")
 
     def __init__(self, d: int, gens: Iterable = ()):
         if d < 1:
@@ -145,18 +157,24 @@ class MonomialIdeal:
         exps.setflags(write=False)
         object.__setattr__(self, "d", int(d))
         object.__setattr__(self, "_exps", exps)
+        object.__setattr__(self, "_box", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialIdeal is immutable")
 
     @classmethod
-    def _from_minimal_rows(cls, d: int, exps: np.ndarray) -> "MonomialIdeal":
-        """Trusted constructor: rows already minimal and lex-sorted."""
+    def _from_minimal_rows(
+        cls, d: int, exps: np.ndarray, box: np.ndarray | None = None
+    ) -> "MonomialIdeal":
+        """Trusted constructor: rows already minimal and lex-sorted. ``box``,
+        when given, is the ideal's read-only membership box of shape
+        rho + 1, which ``membership_box`` then returns."""
         obj = object.__new__(cls)
         exps = np.ascontiguousarray(exps, dtype=np.int64)
         exps.setflags(write=False)
         object.__setattr__(obj, "d", int(d))
         object.__setattr__(obj, "_exps", exps)
+        object.__setattr__(obj, "_box", box)
         return obj
 
     @property
@@ -328,7 +346,17 @@ def project(I: MonomialIdeal, F: Iterable[int]) -> MonomialIdeal:
 
 
 def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
-    """I^n for n >= 1, minimalizing after every multiplication.
+    """I^n for n >= 1, built in one membership box of shape n*rho + 1.
+
+    Every n-fold sum of generators lies in that box, and flat C-order
+    indices add while the coordinates stay inside it, so the (k+1)-fold
+    sums are the k-fold sums' flat indices plus each generator's. A presence
+    table over the box deduplicates them at every step, which bounds the
+    work by the box, not by m^n. The n-fold sums are then closed upward
+    once and the minimal cells read off once; the result keeps the box,
+    cropped to its own rho + 1. A box over ``_BOX_CELL_CAP`` cells falls
+    back to multiplying by the generators n - 1 times, minimalizing each
+    product.
 
     Raises ValueError when an exponent of I^n would not fit in int64.
     """
@@ -336,17 +364,35 @@ def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
         raise ValueError("power requires n >= 1")
     if n == 1 or I.is_zero or I.is_unit:
         return I
-    for j, r in enumerate(var_degree_bounds(I).rho):
+    rho = var_degree_bounds(I).rho
+    for j, r in enumerate(rho):
         if r * n > _INT64_MAX:
             raise ValueError(
                 f"exponent overflow: x{j + 1} reaches exponent {r}*{n} = "
                 f"{r * n} in I^{n}, beyond the int64 limit {_INT64_MAX}"
             )
-    result = I
-    for _ in range(n - 1):
-        cand = (result._exps[:, None, :] + I._exps[None, :, :]).reshape(-1, I.d)
-        result = MonomialIdeal(I.d, cand)
-    return result
+    if _box_cells(r * n for r in rho) > _BOX_CELL_CAP:
+        result = I
+        for _ in range(n - 1):
+            cand = (result._exps[:, None, :] + I._exps[None, :, :]).reshape(-1, I.d)
+            result = MonomialIdeal(I.d, cand)
+        return result
+    shape = tuple(r * n + 1 for r in rho)
+    strides = np.array([math.prod(shape[j + 1 :]) for j in range(I.d)], dtype=np.int64)
+    step = I._exps @ strides
+    chunk = max(1, _SUM_CHUNK // step.size)
+    flags = np.zeros(math.prod(shape), dtype=bool)
+    sums = step
+    for k in range(1, n):
+        if k > 1:
+            sums = np.flatnonzero(flags)
+            flags[sums] = False
+        for s in range(0, sums.size, chunk):
+            flags[(sums[s : s + chunk, None] + step).ravel()] = True
+    box = flags.view(np.uint8).reshape(shape)
+    _kernels.upward_close(box)
+    exps = _box_generators(box)
+    return MonomialIdeal._from_minimal_rows(I.d, exps, _cropped_box(box, exps))
 
 
 def _intersect_many(ideals: list[MonomialIdeal]) -> MonomialIdeal:
@@ -378,7 +424,8 @@ def saturate_irrelevant(I: MonomialIdeal) -> MonomialIdeal:
     sat = np.ones_like(box)
     for j in range(I.d):
         sat &= box[(slice(None),) * j + (slice(-1, None),)]
-    return MonomialIdeal._from_minimal_rows(I.d, _box_generators(sat))
+    exps = _box_generators(sat)
+    return MonomialIdeal._from_minimal_rows(I.d, exps, _cropped_box(sat, exps))
 
 
 def radical(I: MonomialIdeal) -> MonomialIdeal:
@@ -422,16 +469,23 @@ def krull_dimension(I: MonomialIdeal) -> int:
 
 
 def membership_box(I: MonomialIdeal) -> np.ndarray:
-    """Up-closed 0/1 box of shape rho+1: box[b] == 1 iff x^b in I.
+    """Read-only up-closed 0/1 uint8 box of shape rho+1: box[b] == 1 iff
+    x^b in I.
 
     Membership of arbitrary exponent vectors reduces to this box by clamping
-    each coordinate at rho_j, since no generator exceeds rho_j there.
+    each coordinate at rho_j, since no generator exceeds rho_j there. An
+    ideal returned by ``power`` or ``saturate_irrelevant`` carries its box,
+    and this returns that very array; any other ideal's box is built on
+    every call and not kept.
     """
+    if I._box is not None:
+        return I._box
     rho = np.asarray(var_degree_bounds(I).rho, dtype=np.int64)
     box = np.zeros(tuple(rho + 1), dtype=np.uint8)
     if not I.is_zero:
         box[tuple(I._exps.T)] = 1
         _kernels.upward_close(box)
+    box.setflags(write=False)
     return box
 
 

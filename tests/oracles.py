@@ -147,6 +147,21 @@ def prime_power(prime_rows: list[tuple[int, ...]], n: int) -> set[tuple[int, ...
     return out
 
 
+def cycle_saturated_power_box(d: int, n: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Membership of every cell b of a box of the given shape in the
+    intersection of the n-th powers of the cycle-edge primes: b lies in
+    P_e^n iff the exponents off the edge e sum to at least n."""
+    axes = [
+        np.arange(k, dtype=np.int16).reshape((1,) * j + (k,) + (1,) * (d - j - 1))
+        for j, k in enumerate(shape)
+    ]
+    total = sum(axes, np.zeros(shape, dtype=np.int16))
+    member = np.ones(shape, dtype=bool)
+    for i in range(d):
+        member &= total - axes[i] - axes[(i + 1) % d] >= n
+    return member
+
+
 def cycle_degree_complex_oracle(
     d: int, n: int, a: tuple[int, ...]
 ) -> set[frozenset[int]]:

@@ -5,12 +5,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from monocoh import monomial_core
+from monocoh import _kernels, monomial_core, takayama
 from monocoh.errors import IdealSyntaxError
 from monocoh.monomial_core import (
     MonomialIdeal,
     contains,
     krull_dimension,
+    membership_box,
     parse_ideal,
     power,
     project,
@@ -205,6 +206,74 @@ class TestProjectSaturate:
     def test_saturate_m_primary_is_unit(self):
         m2 = power(parse_ideal("x1, x2", 2), 2)
         assert saturate_irrelevant(m2).is_unit
+
+
+class TestPowerBox:
+    """power and saturate_irrelevant build one box and hand it on."""
+
+    def test_box_cap_equals_pattern_cap(self):
+        assert monomial_core._BOX_CELL_CAP == takayama.DEFAULT_PATTERN_CAP
+
+    def test_carried_boxes_equal_fresh_boxes(self, small_corpus):
+        for I in small_corpus:
+            for n in (1, 2, 3, 4):
+                P = power(I, n)
+                for J in (P, saturate_irrelevant(P)):
+                    box = membership_box(J)
+                    fresh = membership_box(MonomialIdeal(J.d, J.exponent_matrix))
+                    assert box.dtype == fresh.dtype == np.uint8
+                    assert box.shape == fresh.shape
+                    assert np.array_equal(box, fresh)
+                    if n > 1 or J is not P:
+                        # carried: the same array on every call
+                        assert membership_box(J) is box
+        # an ideal built from generators is never given a box to keep
+        I = small_corpus[0]
+        assert membership_box(I) is not membership_box(I)
+
+    def test_membership_box_is_read_only(self):
+        I = cycle_ideal(5)
+        for box in (membership_box(I), membership_box(power(I, 2)),
+                    membership_box(saturate_irrelevant(power(I, 2)))):
+            assert not box.flags.writeable
+            with pytest.raises(ValueError):
+                box[(0,) * 5] = 1
+
+    def test_power_above_box_cap_matches_brute(self, small_corpus, monkeypatch):
+        monkeypatch.setattr(monomial_core, "_BOX_CELL_CAP", 1)
+        for I in small_corpus[:12]:
+            for n in (2, 3):
+                P = power(I, n)
+                assert {tuple(r) for r in P.exponent_matrix.tolist()} == (
+                    oracles.brute_power(I, n))
+                assert membership_box(P) is not membership_box(P)
+
+    def test_power_saturate_table_close_one_box(self, monkeypatch):
+        closed = []
+        upward_close = _kernels.upward_close
+
+        def counting(box):
+            closed.append(box.shape)
+            upward_close(box)
+
+        I = cycle_ideal(6)
+        monkeypatch.setattr(_kernels, "upward_close", counting)
+        S = saturate_irrelevant(power(I, 4))
+        takayama.cohomology_table(S, 1)
+        assert closed == [(5,) * 6]
+
+    def test_cycle_c7_power_8_on_the_box_route(self, monkeypatch):
+        # 9^7 = 4.78M cells: one box, no pairwise minimalization or lcms
+        def refuse(*args):
+            raise AssertionError("pairwise route taken")
+
+        I = cycle_ideal(7)
+        monkeypatch.setattr(_kernels, "pairwise_minimal", refuse)
+        monkeypatch.setattr(monomial_core, "_intersect_many", refuse)
+        P = power(I, 8)
+        assert P.num_gens == 31185
+        box = membership_box(saturate_irrelevant(P))
+        assert np.array_equal(box, oracles.cycle_saturated_power_box(7, 8, box.shape))
 
 
 class TestRadicalBounds:
