@@ -1,8 +1,9 @@
-"""Hot numeric kernels, in numpy.
+"""Hot numeric kernels.
 
-Everything here operates on plain numpy arrays: boolean membership boxes
+Everything here takes plain numpy arrays: boolean membership boxes
 (d-dimensional 0/1 grids indexed by exponent vectors), exponent-row
-matrices, and small integer matrices for exact rank computations.
+matrices, and small integer matrices whose exact rank is computed in Python
+integers, over Q and over F_p by the same unit-pivot elimination.
 End-to-end and per-kernel timings come from the benchmark,
 ``python3 perfbench/run.py``.
 
@@ -18,11 +19,6 @@ import numpy as np
 # The benchmark records this name in every run.
 BACKEND = "numpy"
 
-# Guard for fraction-free elimination: once any entry reaches this bound the
-# next update could overflow int64, so the kernel bails and the caller
-# reruns with Python integers.
-_BAREISS_LIMIT = 1 << 31
-
 # Crossovers of the kernels, measured on boxes and matrices of the
 # shapes the package produces. An axis of length n is closed by n - 1 slice
 # maxima once the box holds at least this many cells per step along it;
@@ -32,10 +28,6 @@ _SLICE_CLOSE_MIN_STEP_CELLS = 512
 # length on one accumulate call closes it faster than the slice maxima,
 # whatever the cells per step.
 _ACCUMULATE_LAST_AXIS_MIN_LEN = 64
-# A char-0 rank on at most this many cells runs the Python-integer
-# elimination directly: below it the per-pivot numpy calls cost more than
-# the arithmetic they vectorise.
-_EXACT_RANK_MAX_CELLS = 512
 # Mask rows of one word are deduplicated through a presence table over the
 # key range, not a sort, once there are at least this many keys and every
 # key is below _DENSE_DEDUP_SPAN times their count: the table then costs a
@@ -163,72 +155,74 @@ def scan_face_masks(
 
 def gf_rank(mat: np.ndarray, p: int) -> int:
     """Rank of an integer matrix over the prime field F_p."""
-    if mat.size == 0:
-        return 0
-    a = np.mod(np.ascontiguousarray(mat, dtype=np.int64), p)
-    r, c = a.shape
-    row = 0
-    for col in range(c):
-        if row == r:
-            break
-        nz = np.nonzero(a[row:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = row + int(nz[0])
-        if piv != row:
-            a[[row, piv]] = a[[piv, row]]
-        f1 = int(a[row, col])
-        a[row + 1 :] = (f1 * a[row + 1 :] - np.outer(a[row + 1 :, col], a[row])) % p
-        row += 1
-    return row
+    return _unit_pivot_rank(mat, p)
 
 
-def bareiss_rank_int64(mat: np.ndarray) -> tuple[int, bool]:
-    """Fraction-free rank over the integers (hence over Q), in int64.
+def rank_char0(mat: np.ndarray) -> int:
+    """Rank of an integer matrix over Q."""
+    return _unit_pivot_rank(mat, 0)
 
-    Returns ``(rank, ok)``. ``ok`` is False when intermediate values got
-    close enough to the int64 boundary that continuing could overflow; the
-    caller should rerun with exact Python integers in that case.
+
+def _unit_pivot_rank(mat: np.ndarray, p: int) -> int:
+    """Rank over F_p, or over Q when ``p == 0``, by elimination on unit
+    pivots in Python integers.
+
+    Rows are kept sparse as ``{column: value}`` (reduced mod ``p`` when
+    ``p > 0``). Each step takes the first unit entry it finds (over F_p any
+    nonzero entry, over Q only ``±1``), clears its column from every other
+    row and drops the pivot row. Over F_p this runs to the end; over Q the
+    rows left once no ``±1`` entry remains go to ``bareiss_rank_exact``.
     """
-    if mat.size == 0:
-        return 0, True
-    a = np.ascontiguousarray(mat, dtype=np.int64).copy()
-    r, c = a.shape
-    prev = 1
+    rows = [
+        {j: v for j, v in enumerate(row) if v}
+        for row in (np.mod(mat, p) if p else mat).tolist()
+    ]
+    rows = [row for row in rows if row]
     rank = 0
-    for k in range(min(r, c)):
-        sub = a[k:, k:]
-        nz = np.argwhere(sub != 0)
-        if nz.size == 0:
-            return rank, True
-        pi, pj = int(nz[0][0]) + k, int(nz[0][1]) + k
-        if pi != k:
-            a[[k, pi]] = a[[pi, k]]
-        if pj != k:
-            a[:, [k, pj]] = a[:, [pj, k]]
-        if int(np.abs(a[k:, k:]).max()) >= _BAREISS_LIMIT:
-            return rank, False
-        pivot = int(a[k, k])
-        a[k + 1 :, k + 1 :] = (
-            pivot * a[k + 1 :, k + 1 :]
-            - np.outer(a[k + 1 :, k], a[k, k + 1 :])
-        ) // prev
-        a[k + 1 :, k] = 0
-        prev = pivot
+    while rows:
+        pivot = next(
+            (
+                (i, j, v)
+                for i, row in enumerate(rows)
+                for j, v in row.items()
+                if p or v == 1 or v == -1
+            ),
+            None,
+        )
+        if pivot is None:
+            break
+        i, c, u = pivot
+        prow = rows.pop(i)
+        del prow[c]
+        inv = pow(u, -1, p) if p else u  # ±1 is its own inverse
+        for row in rows:
+            f = row.pop(c, 0)
+            if not f:
+                continue
+            f *= inv
+            for j, v in prow.items():
+                w = row.get(j, 0) - f * v
+                if p:
+                    w %= p
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+        rows = [row for row in rows if row]
         rank += 1
-    return rank, True
+    if rows:
+        cols = sorted({j for row in rows for j in row})
+        rank += bareiss_rank_exact([[row.get(j, 0) for j in cols] for row in rows])
+    return rank
 
 
 def bareiss_rank_exact(rows: list[list[int]]) -> int:
-    """Exact fraction-free rank with Python integers; no overflow possible.
+    """Exact fraction-free rank over Q with Python integers.
 
-    ``rank_char0`` calls this only when the int64 guard trips, so its call
-    count is the number of big-integer fallbacks.
+    ``rank_char0`` calls this only on the rows that hold no ``±1`` entry
+    after unit-pivot elimination, so its call count is the number of
+    big-integer fallbacks.
     """
-    return _bareiss_rank_python(rows)
-
-
-def _bareiss_rank_python(rows: list[list[int]]) -> int:
     a = [list(map(int, row)) for row in rows]
     r = len(a)
     c = len(a[0]) if r else 0
@@ -259,18 +253,3 @@ def _bareiss_rank_python(rows: list[list[int]]) -> int:
         prev = pivot
         rank += 1
     return rank
-
-
-def rank_char0(mat: np.ndarray) -> int:
-    """Rank of an integer matrix over Q.
-
-    A matrix of at most ``_EXACT_RANK_MAX_CELLS`` (512) cells is eliminated
-    exactly in Python integers. A larger matrix runs the int64 elimination
-    and falls back to ``bareiss_rank_exact`` when its overflow guard trips.
-    """
-    if mat.size <= _EXACT_RANK_MAX_CELLS:
-        return _bareiss_rank_python(mat.tolist())
-    rank, ok = bareiss_rank_int64(mat)
-    if ok:
-        return rank
-    return bareiss_rank_exact(mat.tolist())

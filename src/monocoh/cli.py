@@ -104,7 +104,11 @@ def _add_common(p: argparse.ArgumentParser, powers_default: str) -> None:
         "--pattern-cap",
         type=int,
         default=DEFAULT_PATTERN_CAP,
-        help="abort if a single table would scan more degree patterns than this",
+        help=(
+            "abort if a single table's clamped pattern boxes, prod(rho_j+1) "
+            "per negative support, hold more cells than this (an upper bound "
+            "on the degree patterns scanned)"
+        ),
     )
     p.add_argument(
         "--powers",

@@ -103,19 +103,20 @@ def _as_rows(d: int, gens) -> np.ndarray:
 def _minimal_rows(exps: np.ndarray) -> np.ndarray:
     """Divisibility-minimal rows, deduplicated, in ascending lex order.
 
-    Repeated rows mark the same box cell, so only the pairwise route, which
-    needs distinct rows, deduplicates.
+    The route follows the cost: the membership box when it has at most
+    ``m * m`` cells (and at most ``_BOX_CELL_CAP``), else the ``m * m``
+    pairwise comparison. Repeated rows mark the same box cell, so only the
+    pairwise route, which needs distinct rows, deduplicates.
     """
     m = exps.shape[0]
-    if m >= 16:
-        maxs = exps.max(axis=0)
-        if _box_cells(maxs) <= _BOX_CELL_CAP:
-            box = np.zeros(tuple(maxs + 1), dtype=np.uint8)
-            box[tuple(exps.T)] = 1
-            _kernels.upward_close(box)
-            return _box_generators(box)
     if m <= 1:
         return exps
+    maxs = exps.max(axis=0)
+    if _box_cells(maxs) <= min(m * m, _BOX_CELL_CAP):
+        box = np.zeros(tuple(maxs + 1), dtype=np.uint8)
+        box[tuple(exps.T)] = 1
+        _kernels.upward_close(box)
+        return _box_generators(box)
     exps = np.unique(exps, axis=0)
     return exps[_kernels.pairwise_minimal(exps)]
 

@@ -7,9 +7,11 @@ ordinary complexes. The empty face is the unique (-1)-cell of reduced chain
 complexes, so the irrelevant complex has H~_{-1} of dimension 1 and the
 void complex has no homology in any degree.
 
-Homology dimensions are exact: over the rationals via fraction-free integer
-elimination, over F_p via modular elimination. Dimensions are all the
-cohomology formula consumes, so no Smith normal form is computed.
+Homology dimensions are exact: boundary ranks over the rationals and over
+F_p come from one sparse elimination on unit pivots in Python integers
+(``±1`` over Q, any nonzero residue over F_p); over Q, rows left with no
+``±1`` entry go to fraction-free big-integer elimination. Dimensions are all
+the cohomology formula consumes, so no Smith normal form is computed.
 
 Values are immutable and every function is pure.
 """
@@ -27,9 +29,9 @@ from .errors import UnitIdealError
 from .monomial_core import MAX_VARIABLES, MonomialIdeal, _radical_face_flags
 
 
-# Largest accepted prime characteristic. Modular elimination multiplies two
-# residues in int64, which is exact only while p**2 stays below 2**63; the
-# bound also keeps the trial-division primality check to ~46k steps.
+# Largest accepted prime characteristic. Elimination is exact in Python
+# integers for any p; the bound keeps the trial-division primality check to
+# ~46k steps.
 MAX_CHAR = 2**31 - 1
 
 

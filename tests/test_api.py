@@ -1,5 +1,6 @@
 """Dead-name guard: every function, class and method defined in the package
-is referenced somewhere in the source, the tests or the benchmark.
+is referenced somewhere in the source, the tests or the benchmark; and every
+binding site the benchmark's tracer wraps exists.
 
 The guard matches short names only. A reference is a ``Name``, an
 ``Attribute``, an import alias or a string constant that is a name or a
@@ -11,6 +12,8 @@ methods are exempt, since the language calls them.
 """
 
 import ast
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -64,3 +67,16 @@ def test_every_defined_name_is_referenced():
     seen = referenced_names()
     dead = sorted(where for name, where in defined.items() if name not in seen)
     assert not dead, f"defined but referenced nowhere: {dead}"
+
+
+def test_tracer_binding_sites_resolve():
+    # the tracer wraps these (module, name) pairs by name, so a rename in the
+    # package would break ``perfbench/run.py --trace 1``
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TRACED_FUNCTIONS
+    for module, name, _span in tracer.TRACED_FUNCTIONS:
+        fn = getattr(importlib.import_module(module), name, None)
+        assert callable(fn), f"{module}.{name} is not a callable"

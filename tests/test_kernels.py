@@ -1,6 +1,7 @@
 """The numpy kernels against brute-force oracles and direct box probes,
 on both sides of each measured crossover."""
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -217,55 +218,27 @@ class TestRanks:
             want = oracles._rank_fraction(mat.tolist())
             assert got == want
 
-    def test_bareiss_overflow_falls_back_exact(self):
-        # ill-conditioned integer matrix with huge intermediate products
-        n = 12
+    def test_gf_rank_large_prime_against_oracle(self):
+        # residues near 2**31 make products near 2**62
+        p = 2**31 - 1
+        rng = np.random.default_rng(10)
+        for t in range(40):
+            m = int(rng.integers(1, 10))
+            n = int(rng.integers(1, 10))
+            mat = rng.integers(-(2**40), 2**40, size=(m, n), dtype=np.int64)
+            if t % 2:
+                k = int(rng.integers(1, min(m, n) + 1))
+                mat = (rng.integers(-3, 4, size=(m, k))
+                       @ rng.integers(-3, 4, size=(k, n))).astype(np.int64)
+                mat[:, 0] += p
+            assert kr.gf_rank(mat, p) == oracles._rank_gfp(mat.tolist(), p)
+
+    @staticmethod
+    def assert_one_fallback(monkeypatch, n):
+        # 2**20 plus a diagonal: no entry is a unit over Q, so the whole
+        # matrix takes the big-integer fallback, once
         mat = np.full((n, n), 2**20, dtype=np.int64)
         mat += np.diag(np.arange(1, n + 1))
-        rank, ok = kr.bareiss_rank_int64(mat.copy())
-        exact = kr.bareiss_rank_exact(mat.tolist())
-        assert exact == oracles._rank_fraction(mat.tolist())
-        assert kr.rank_char0(mat) == exact
-        if not ok:
-            # guard tripped: the public wrapper must still be exact
-            assert exact == np.linalg.matrix_rank(mat.astype(float))
-
-    def test_char0_rank_across_the_exact_route_crossover(self):
-        # cell counts on both sides of the cutoff; half of the matrices are
-        # products of thin factors, so their rank is below min(m, n)
-        rng = np.random.default_rng(8)
-        shapes = [(20, 20), (16, 32), (20, 26), (24, 24), (30, 30)]
-        sizes = [m * n for m, n in shapes]
-        assert min(sizes) <= kr._EXACT_RANK_MAX_CELLS < max(sizes)
-        for m, n in shapes:
-            for t in (m, int(rng.integers(2, min(m, n)))):
-                left = rng.integers(-2, 3, size=(m, t))
-                right = rng.integers(-2, 3, size=(t, n))
-                mat = (left @ right).astype(np.int64)
-                assert kr.rank_char0(mat) == oracles._rank_fraction(
-                    mat.tolist())
-
-    def test_small_matrix_makes_no_fallback_call(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(kr, "bareiss_rank_exact",
-                            lambda rows: calls.append(rows))
-        n = 12
-        mat = np.full((n, n), 2**20, dtype=np.int64)
-        mat += np.diag(np.arange(1, n + 1))
-        assert kr.rank_char0(mat) == n
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            small = rng.integers(-3, 4, size=(7, 9)).astype(np.int64)
-            kr.rank_char0(small)
-        assert calls == []
-
-    def test_large_overflow_falls_back_once(self, monkeypatch):
-        n = 40
-        mat = np.full((n, n), 2**20, dtype=np.int64)
-        mat += np.diag(np.arange(1, n + 1))
-        assert mat.size > kr._EXACT_RANK_MAX_CELLS
-        rank, ok = kr.bareiss_rank_int64(mat)
-        assert not ok
         calls = []
         exact = kr.bareiss_rank_exact
 
@@ -278,6 +251,47 @@ class TestRanks:
         assert want == n
         assert kr.rank_char0(mat) == want
         assert len(calls) == 1
+
+    def test_bareiss_overflow_falls_back_exact(self, monkeypatch):
+        self.assert_one_fallback(monkeypatch, 12)
+
+    def test_char0_rank_of_thin_products(self):
+        # half of the matrices are products of thin factors, so their rank
+        # is below min(m, n)
+        rng = np.random.default_rng(8)
+        shapes = [(20, 20), (16, 32), (20, 26), (24, 24), (30, 30)]
+        for m, n in shapes:
+            for t in (m, int(rng.integers(2, min(m, n)))):
+                left = rng.integers(-2, 3, size=(m, t))
+                right = rng.integers(-2, 3, size=(t, n))
+                mat = (left @ right).astype(np.int64)
+                assert kr.rank_char0(mat) == oracles._rank_fraction(
+                    mat.tolist())
+
+    def test_large_overflow_falls_back_once(self, monkeypatch):
+        self.assert_one_fallback(monkeypatch, 40)
+
+    @pytest.mark.parametrize("n,k", [(7, 3), (8, 4), (10, 5)])
+    def test_simplex_boundary_ranks(self, monkeypatch, n, k):
+        # the full simplex on n vertices is acyclic over every field, so the
+        # boundary from its (k+1)-vertex faces to its k-vertex faces has rank
+        # C(n-1, k); unit pivots reach it with no fallback call
+        lower = list(combinations(range(n), k))
+        upper = list(combinations(range(n), k + 1))
+        row = {f: i for i, f in enumerate(lower)}
+        mat = np.zeros((len(lower), len(upper)), dtype=np.int64)
+        for c, f in enumerate(upper):
+            for t in range(k + 1):
+                mat[row[f[:t] + f[t + 1:]], c] = (-1) ** t
+
+        def no_fallback(rows):
+            raise AssertionError("bareiss_rank_exact called")
+
+        monkeypatch.setattr(kr, "bareiss_rank_exact", no_fallback)
+        want = math.comb(n - 1, k)
+        assert kr.rank_char0(mat) == want
+        assert kr.gf_rank(mat, 2) == want
+        assert kr.gf_rank(mat, 2**31 - 1) == want
 
     def test_empty_matrices(self):
         assert kr.rank_char0(np.zeros((0, 5), dtype=np.int64)) == 0

@@ -1,6 +1,6 @@
 """Parsing, ideal arithmetic, saturation, dimension."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -91,6 +91,19 @@ def _minimal(rows):
     return {m.exponents for m in MonomialIdeal(len(rows[0]), rows).gens}
 
 
+def count_closed_boxes(monkeypatch):
+    """Shapes of the boxes passed to ``upward_close`` from now on."""
+    closed = []
+    upward_close = _kernels.upward_close
+
+    def counting(box):
+        closed.append(box.shape)
+        upward_close(box)
+
+    monkeypatch.setattr(_kernels, "upward_close", counting)
+    return closed
+
+
 class TestMinimalize:
     def test_spec_pairs(self):
         assert _minimal([(1, 0), (1, 1)]) == {(1, 0)}
@@ -111,6 +124,23 @@ class TestMinimalize:
         rows = [tuple(int(x) for x in rng.integers(0, 5, size=3))
                 for _ in range(60)]
         assert _minimal(rows) == oracles.brute_minimalize(rows)
+
+    def test_sparse_rows_take_the_pairwise_route(self, monkeypatch):
+        # 16 rows spanning a box of millions of cells: 256 comparisons are
+        # cheaper than closing the box
+        closed = count_closed_boxes(monkeypatch)
+        rng = np.random.default_rng(16)
+        rows = [tuple(int(x) for x in rng.integers(0, 3000, size=2))
+                for _ in range(16)]
+        assert _minimal(rows) == oracles.brute_minimalize(rows)
+        assert closed == []
+
+    def test_dense_rows_close_one_box(self, monkeypatch):
+        # every cell of a 3x3x3 box: 27 cells against 27**2 comparisons
+        closed = count_closed_boxes(monkeypatch)
+        rows = list(product(range(3), repeat=3))
+        assert _minimal(rows) == {(0, 0, 0)}
+        assert closed == [(3, 3, 3)]
 
 
 class TestPowerContains:
@@ -249,15 +279,8 @@ class TestPowerBox:
                 assert membership_box(P) is not membership_box(P)
 
     def test_power_saturate_table_close_one_box(self, monkeypatch):
-        closed = []
-        upward_close = _kernels.upward_close
-
-        def counting(box):
-            closed.append(box.shape)
-            upward_close(box)
-
         I = cycle_ideal(6)
-        monkeypatch.setattr(_kernels, "upward_close", counting)
+        closed = count_closed_boxes(monkeypatch)
         S = saturate_irrelevant(power(I, 4))
         takayama.cohomology_table(S, 1)
         assert closed == [(5,) * 6]
