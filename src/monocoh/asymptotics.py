@@ -251,7 +251,7 @@ def _dichotomy_verdict(
             stacklevel=3,
         )
     rad_table = cohomology_table(radical(I), i, char, pattern_cap=pattern_cap)
-    remark44 = bool(certified) and bool(rad_table.entries)
+    remark44 = bool(certified) and rad_table.dims.size > 0
     return DichotomyVerdict(
         h_tilde_dim=h_tilde_dim,
         case=case,

@@ -11,9 +11,12 @@ Exit status: 0 success, 2 usage or parse error, 3 resource cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import asymptotics as asy
 from . import monomial_core as mc
@@ -122,7 +125,11 @@ def _add_common(p: argparse.ArgumentParser, powers_default: str) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every ``main`` call. It is built once: a parser is
+    a web of reference cycles, and one built per call would leave hundreds
+    of objects for the cyclic garbage collector each time."""
     parser = argparse.ArgumentParser(
         prog="monocoh",
         description="Graded local cohomology of monomial quotients via "
@@ -194,7 +201,10 @@ def _requested_is(args: argparse.Namespace, d: int) -> list[int]:
 def _zero_table(i: int, char: int) -> tk.CohomologyTable:
     """The table of H^i_m(R/J) when J is the unit ideal: the saturation of
     an irrelevant-primary power, whose quotient is the zero module."""
-    return tk.CohomologyTable(i=i, char=char, entries={}, rho=(), finite_length=True)
+    no_rows = np.zeros(0, dtype=np.int64)
+    return tk.CohomologyTable(
+        i=i, char=char, a_plus=no_rows.reshape(0, 0), g_masks=no_rows,
+        dims=no_rows, rho=())
 
 
 def _cmd_cohomology(args: argparse.Namespace) -> int:
@@ -246,17 +256,17 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
                 buffered.append({"n": n, "table": table.to_dict()})
             elif args.fmt == "csv":
                 fl = str(table.finite_length).lower()
-                for pat, dim in table.sorted_entries():
-                    g = ";".join(str(v) for v in pat.G)
-                    ap = ";".join(str(v) for v in pat.a_plus)
+                for G, a_plus, dim in table.sorted_rows():
+                    g = ";".join(map(str, G))
+                    ap = ";".join(map(str, a_plus))
                     _emit(f"{n},{i},{args.char},{fl},{g},{ap},{dim}")
             else:
                 _emit(f"# n={n} i={i} char={args.char} "
                       f"finite_length={str(table.finite_length).lower()} "
-                      f"entries={len(table.entries)}")
-                for pat, dim in table.sorted_entries():
-                    g = "{" + ",".join(str(v) for v in pat.G) + "}"
-                    ap = "(" + ",".join(str(v) for v in pat.a_plus) + ")"
+                      f"entries={table.dims.size}")
+                for G, a_plus, dim in table.sorted_rows():
+                    g = "{" + ",".join(map(str, G)) + "}"
+                    ap = "(" + ",".join(map(str, a_plus)) + ")"
                     _emit(f"G={g} a+={ap} dim={dim}")
     if args.fmt == "json":
         _emit(json.dumps(buffered, separators=(",", ":")))

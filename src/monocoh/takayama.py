@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -88,7 +89,7 @@ class ExtendedDegree:
         return "inf" if self.value > 0 else "-inf"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegreePattern:
     """Canonical representative of a ℤ^d-degree class: clamped a⁺ plus the
     negative-support set G (1-based, sorted). a_plus is 0 on G."""
@@ -114,36 +115,81 @@ class DegreePattern:
         return sum(self.a_plus) - len(self.G)
 
 
+def _g_tuples(g_masks: Sequence[int], d: int) -> list[tuple[int, ...]]:
+    """The 1-based sorted G of every bitmask (bit j-1 is x_j), each distinct
+    mask decoded once."""
+    decoded = {
+        g: tuple(j + 1 for j in range(d) if g >> j & 1) for g in set(g_masks)
+    }
+    return [decoded[g] for g in g_masks]
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """The number of set bits of every int64 word."""
+    octets = np.ascontiguousarray(words).view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1).sum(axis=1, dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class CohomologyTable:
     """All nonzero graded dimensions of H^i_m(R/I) over one field.
 
-    ``entries`` maps degree patterns to positive dimensions; a pattern with
-    G != 0 stands for infinitely many ℤ^d-degrees (any negative magnitudes
-    on G), so ``finite_length`` holds exactly when every stored pattern has
-    empty G. ``rho`` records the clamping bounds the scan used; it is an
+    The table is a list of rows (G, a⁺, dim), one per nonzero degree
+    pattern, held as three arrays: ``a_plus`` of shape ``(rows, d)``, zero
+    on G (the scan stores it in the narrowest unsigned type holding max
+    rho); ``g_masks``, each G as a bitmask (bit j-1 is x_j); and ``dims``,
+    the positive dimensions. A pattern with G != ∅ stands for infinitely
+    many ℤ^d-degrees (any negative magnitudes on G), so ``finite_length``
+    holds exactly when every G is empty. ``entries`` is the same table as a
+    dict from ``DegreePattern`` to dimension, built on first access; the
+    invariants, equality and serialisation read the arrays and never build
+    it. ``rho`` records the clamping bounds the scan used; it is an
     annotation derived from the ideal, not part of table identity.
     """
 
     i: int
     char: int
-    entries: dict[DegreePattern, int]
+    a_plus: np.ndarray
+    g_masks: np.ndarray
+    dims: np.ndarray
     rho: tuple[int, ...]
-    finite_length: bool
+
+    @property
+    def finite_length(self) -> bool:
+        return not np.count_nonzero(self.g_masks)
+
+    @cached_property
+    def entries(self) -> dict[DegreePattern, int]:
+        return dict(self.sorted_entries())
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CohomologyTable)
             and self.i == other.i
             and self.char == other.char
-            and self.finite_length == other.finite_length
-            and self.entries == other.entries
+            and self.dims.size == other.dims.size
+            and self.sorted_rows() == other.sorted_rows()
         )
 
-    def sorted_entries(self) -> list[tuple[DegreePattern, int]]:
-        return sorted(
-            self.entries.items(), key=lambda kv: (len(kv[0].G), kv[0].G, kv[0].a_plus)
+    def sorted_rows(self) -> list[tuple[tuple[int, ...], list[int], int]]:
+        """Every row as ``(G, a⁺, dim)`` in Python integers, sorted by the
+        key (|G|, G, a⁺). The scan writes its rows in that order already,
+        and on sorted input the sort only checks it, in linear time."""
+        rows = list(
+            zip(
+                _g_tuples(self.g_masks.tolist(), self.a_plus.shape[1]),
+                self.a_plus.tolist(),
+                self.dims.tolist(),
+            )
         )
+        rows.sort(key=lambda row: (len(row[0]), row[0], row[1]))
+        return rows
+
+    def sorted_entries(self) -> list[tuple[DegreePattern, int]]:
+        return [
+            (DegreePattern._from_scan(tuple(a), G), dim)
+            for G, a, dim in self.sorted_rows()
+        ]
 
     def to_dict(self) -> dict:
         return {
@@ -151,8 +197,8 @@ class CohomologyTable:
             "char": self.char,
             "finite_length": self.finite_length,
             "entries": [
-                {"G": list(p.G), "a_plus": list(p.a_plus), "dim": dim}
-                for p, dim in self.sorted_entries()
+                {"G": list(G), "a_plus": a, "dim": dim}
+                for G, a, dim in self.sorted_rows()
             ],
         }
 
@@ -161,19 +207,27 @@ class CohomologyTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CohomologyTable":
-        entries = {
+        patterns = [
             DegreePattern(
                 a_plus=tuple(int(x) for x in e["a_plus"]),
                 G=tuple(int(g) for g in e["G"]),
-            ): int(e["dim"])
+            )
             for e in data["entries"]
-        }
+        ]
+        if len(set(patterns)) < len(patterns):
+            raise ValueError("a degree pattern is listed twice")
+        d = len(patterns[0].a_plus) if patterns else 0
         return cls(
             i=int(data["i"]),
             char=int(data["char"]),
-            entries=entries,
+            a_plus=np.array([p.a_plus for p in patterns], dtype=np.int64).reshape(
+                len(patterns), d
+            ),
+            g_masks=np.array(
+                [sum(1 << (g - 1) for g in p.G) for p in patterns], dtype=np.int64
+            ),
+            dims=np.array([int(e["dim"]) for e in data["entries"]], dtype=np.int64),
             rho=(),
-            finite_length=bool(data["finite_length"]),
         )
 
     @classmethod
@@ -201,12 +255,20 @@ def _validate_i(d: int, i: int) -> int:
     return i
 
 
-def _split_degree(d: int, a: Sequence[int]) -> tuple[np.ndarray, list[int]]:
-    a_arr = np.asarray([int(x) for x in a], dtype=np.int64)
-    if a_arr.shape != (d,):
-        raise ValueError(f"degree vector must have length {d}")
-    g_cols = [j for j in range(d) if a_arr[j] < 0]
-    return np.maximum(a_arr, 0), g_cols
+def _split_degree(
+    I: MonomialIdeal, a: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """(a⁺ clamped at rho, G_a as 0-based axes) of a degree vector.
+
+    Exact for any magnitude: Δ_a reads a only through G_a and through
+    comparisons of a⁺_j with generator exponents, none above rho_j.
+    """
+    a = [int(x) for x in a]
+    if len(a) != I.d:
+        raise ValueError(f"degree vector must have length {I.d}")
+    rho = var_degree_bounds(I).rho
+    g_cols = [j for j, x in enumerate(a) if x < 0]
+    return [min(max(x, 0), r) for x, r in zip(a, rho)], g_cols
 
 
 def degree_complex(I: MonomialIdeal, a: Sequence[int]) -> SimplicialComplex:
@@ -219,7 +281,7 @@ def degree_complex(I: MonomialIdeal, a: Sequence[int]) -> SimplicialComplex:
     """
     _require_not_unit(I)
     d = _validate_d(I.d)
-    a_plus, g_cols = _split_degree(d, a)
+    a_plus, g_cols = _split_degree(I, a)
     gmask = 0
     for j in g_cols:
         gmask |= 1 << j
@@ -253,7 +315,7 @@ def cohomology_dim_at(
     d = _validate_d(I.d)
     i = _validate_i(d, i)
     char = _validate_char(char)
-    _, g_cols = _split_degree(d, a)
+    _, g_cols = _split_degree(I, a)
     q = i - len(g_cols) - 1
     if q < -1:
         return 0
@@ -338,6 +400,11 @@ def cohomology_tables(
     ``np.unique``'s sort. Both give the distinct rows in key order and the
     same partition of the patterns.
 
+    The nonzero patterns at one G and one i form a block of rows: their a⁺,
+    decoded from the scan's flat indices by ``np.unravel_index``, and their
+    dimensions. The blocks of each i are written once into the table's
+    arrays; no per-pattern object is built.
+
     Raises ResourceCapError, naming the first i over ``pattern_cap``, before
     anything is scanned.
     """
@@ -358,8 +425,15 @@ def cohomology_tables(
                 cap=pattern_cap,
             )
     box = membership_box(I)
-    all_faces = np.flatnonzero(_radical_face_flags(I)).tolist()
-    entries: dict[int, dict[DegreePattern, int]] = {i: {} for i in i_list}
+    # every face of Δ(I) with its size and axes; the widest one any scan
+    # needs (at G = ∅) bounds the size
+    width = i_list[-1] + 1
+    faces = [
+        (f, f.bit_count(), tuple(j for j in range(d) if f >> j & 1))
+        for f in np.flatnonzero(_radical_face_flags(I)).tolist()
+        if f.bit_count() <= width
+    ]
+    blocks: dict[int, list] = {i: [] for i in i_list}
     memo: dict[tuple, dict[int, int]] = {}
     for g_size in range(0, i_list[-1] + 1):
         qs = tuple(i - g_size - 1 for i in i_list if i >= g_size)
@@ -374,48 +448,58 @@ def cohomology_tables(
             # cells beyond dimension q+1 cannot affect H~_q: the widest
             # requested q at this G decides
             cand = [
-                f
-                for f in all_faces
-                if not f & gmask and f.bit_count() <= qs[-1] + 2
+                (f, axes)
+                for f, size, axes in faces
+                if not f & gmask and size <= qs[-1] + 2
             ]
-            face_axes = [
-                tuple(j for j in range(d) if f >> j & 1) for f in cand
-            ]
-            masks = _kernels.scan_face_masks(box, free_axes, list(g_combo), face_axes)
+            cand_masks = [f for f, _ in cand]
+            masks = _kernels.scan_face_masks(
+                box, free_axes, list(g_combo), [axes for _, axes in cand]
+            )
             rows, inverse = _unique_rows(masks)
             dims_u = np.zeros((len(qs), rows.shape[0]), dtype=np.int64)
             for u, row in enumerate(rows.tolist()):
                 word = _row_word(row)
-                present = tuple(cand[f] for f in range(len(cand)) if word >> f & 1)
+                present = tuple(
+                    f for k, f in enumerate(cand_masks) if word >> k & 1
+                )
                 key = (qs, present)
                 if key not in memo:
                     memo[key] = homology_dims_from_masks(present, char, qs)
                 dims_u[:, u] = [memo[key].get(q, 0) for q in qs]
-            G = tuple(j + 1 for j in g_combo)
             for k, q in enumerate(qs):
-                i = q + g_size + 1
                 nonzero = dims_u[k] != 0
                 if not nonzero.any():
                     continue
                 hits = np.flatnonzero(nonzero[inverse])
-                a_plus = np.zeros((hits.size, d), dtype=np.int64)
-                if free_axes:
-                    a_plus[:, free_axes] = np.stack(
-                        np.unravel_index(hits, sub_shape), axis=1
-                    )
-                dims = dims_u[k][inverse[hits]]
-                for row, dim in zip(a_plus.tolist(), dims.tolist()):
-                    entries[i][DegreePattern._from_scan(tuple(row), G)] = dim
-    return {
-        i: CohomologyTable(
-            i=i,
-            char=char,
-            entries=entries[i],
-            rho=tuple(rho),
-            finite_length=all(not p.G for p in entries[i]),
-        )
-        for i in i_list
-    }
+                coords = np.unravel_index(hits, sub_shape) if free_axes else ()
+                blocks[q + g_size + 1].append(
+                    (gmask, free_axes, coords, dims_u[k][inverse[hits]])
+                )
+    return {i: _table_from_blocks(i, char, rho, blocks[i]) for i in i_list}
+
+
+def _table_from_blocks(
+    i: int, char: int, rho: Sequence[int], blocks: list[tuple]
+) -> CohomologyTable:
+    """One table from the scan's blocks ``(gmask, free_axes, coords, dims)``:
+    each block's rows share G, and ``coords`` are their a⁺ on the free axes."""
+    total = sum(block[3].size for block in blocks)
+    # a⁺_j < rho_j: the narrowest unsigned type holding max rho suffices
+    a_plus = np.zeros((total, len(rho)), dtype=np.min_scalar_type(max(rho)))
+    g_masks = np.zeros(total, dtype=np.int64)
+    dims = np.zeros(total, dtype=np.int64)
+    start = 0
+    for gmask, free_axes, coords, block_dims in blocks:
+        stop = start + block_dims.size
+        g_masks[start:stop] = gmask
+        dims[start:stop] = block_dims
+        for j, col in zip(free_axes, coords):
+            a_plus[start:stop, j] = col
+        start = stop
+    return CohomologyTable(
+        i=i, char=char, a_plus=a_plus, g_masks=g_masks, dims=dims, rho=tuple(rho)
+    )
 
 
 def cohomology_table(
@@ -440,9 +524,10 @@ def table_indeg(table: CohomologyTable) -> ExtendedDegree:
     """Least total degree with a nonzero graded piece, from a computed table."""
     if not table.finite_length:
         return ExtendedDegree.neg_inf()
-    if not table.entries:
+    if not table.dims.size:
         return ExtendedDegree.pos_inf()
-    return ExtendedDegree.finite(min(sum(p.a_plus) for p in table.entries))
+    totals = table.a_plus.sum(axis=1, dtype=np.int64)
+    return ExtendedDegree.finite(int(totals.min()))
 
 
 def table_topdeg(table: CohomologyTable) -> ExtendedDegree:
@@ -451,9 +536,10 @@ def table_topdeg(table: CohomologyTable) -> ExtendedDegree:
     Within a pattern class the total degree is maximized at coordinates -1
     on G, hence the |a⁺| - |G| formula; the Artinian bound keeps it finite.
     """
-    if not table.entries:
+    if not table.dims.size:
         return ExtendedDegree.neg_inf()
-    return ExtendedDegree.finite(max(p.total_degree for p in table.entries))
+    totals = table.a_plus.sum(axis=1, dtype=np.int64) - _popcount(table.g_masks)
+    return ExtendedDegree.finite(int(totals.max()))
 
 
 def indeg(

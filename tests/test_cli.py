@@ -1,5 +1,6 @@
 """Command surface: formats, golden outputs, exit statuses, determinism."""
 
+import gc
 import json
 import subprocess
 import sys
@@ -77,6 +78,13 @@ class TestCohomology:
                             "--d", "2", "--i", "1", "--format", "csv")
         assert code == 0 and out == golden("cohomology_edge.csv")
 
+    @pytest.mark.parametrize("fmt,suffix", [("text", "txt"), ("csv", "csv")])
+    def test_two_element_g_golden(self, capsys, fmt, suffix):
+        # rows at |G| = 2 under four different G, {1,4} before {2,3}
+        code, out = run_cli(capsys, "cohomology", "--ideal", "x1^2*x2, x3*x4^2",
+                            "--d", "4", "--i", "2", "--format", fmt)
+        assert code == 0 and out == golden(f"cohomology_two_g.{suffix}")
+
     def test_empty_table_exits_zero(self, capsys):
         code, out = run_cli(capsys, "cohomology", "--ideal",
                             "x1^2, x1*x2, x2^2", "--d", "2", "--i", "1")
@@ -100,6 +108,17 @@ class TestCohomology:
         code, out = run_cli(capsys, "cohomology", "--ideal", "x1*x2",
                             "--d", "2", "--i", "1", "--at", "(-3,0)")
         assert code == 0 and out == "n=1 i=1 a=(-3,0) dim=1\n"
+
+    @pytest.mark.parametrize("huge,clamped", [
+        ("(99999999999999999999,0)", "(1,0)"),
+        ("(-99999999999999999999,0)", "(-1,0)"),
+    ])
+    def test_at_huge_degree_vector(self, capsys, huge, clamped):
+        argv = ["cohomology", "--ideal", "x1*x2", "--d", "2", "--i", "1"]
+        code, out = run_cli(capsys, *argv, "--at", huge)
+        code_c, out_c = run_cli(capsys, *argv, "--at", clamped)
+        assert code == code_c == 0
+        assert out == out_c.replace(clamped, huge)
 
     def test_at_length_mismatch(self, capsys):
         code, _ = run_cli(capsys, "cohomology", "--ideal", "x1*x2",
@@ -387,6 +406,14 @@ class TestDeterminism:
         _, first = run_cli(capsys, *argv)
         _, second = run_cli(capsys, *argv)
         assert first == second
+
+    def test_reruns_leave_no_cyclic_garbage(self, capsys):
+        # the parser is built once; a parser per call is a web of cycles
+        argv = ["reg", "--ideal", "x1*x2", "--d", "2", "--powers", "1..4"]
+        run_cli(capsys, *argv)
+        gc.collect()
+        run_cli(capsys, *argv)
+        assert gc.collect() == 0
 
     def test_console_script_installed(self):
         proc = subprocess.run(

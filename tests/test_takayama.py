@@ -150,6 +150,22 @@ class TestDimAt:
         with pytest.raises(ValueError):
             cohomology_dim_at(I, 1, (0, 0), 4)
 
+    def test_huge_coordinates_equal_the_clamped_vector(self, small_corpus):
+        # beyond int64 either way: a⁺_j clamps at rho_j, a negative
+        # coordinate only marks membership in G
+        rng = np.random.default_rng(20261019)
+        huge = 10**20
+        for I in small_corpus[:15]:
+            rho = var_degree_bounds(I).rho
+            for _ in range(3):
+                kinds = rng.integers(0, 3, size=I.d).tolist()
+                a = [(-huge, huge, int(rng.integers(0, 3)))[k] for k in kinds]
+                clamped = [-1 if x < 0 else min(x, r) for x, r in zip(a, rho)]
+                assert degree_complex(I, a) == degree_complex(I, clamped)
+                for i in range(I.d + 1):
+                    assert cohomology_dim_at(I, i, a, 0) == cohomology_dim_at(
+                        I, i, clamped, 0), (I, a, i)
+
 
 class TestTable:
     def test_m_squared_empty(self):
@@ -543,3 +559,113 @@ class TestDegreePatternType:
     def test_total_degree(self):
         p = DegreePattern(a_plus=(0, 2, 0), G=(1,))
         assert p.total_degree == 1  # 2 - |G|
+
+
+def columnar_tables() -> list[CohomologyTable]:
+    """Every table of seeded corpus ideals and of cycle powers, over Q and
+    F_32003."""
+    ideals = corpus(20261019, 25, (2, 3, 4, 5)) + [
+        J
+        for d in (5, 6)
+        for n in (1, 2, 3)
+        for J in (power(cycle_ideal(d), n),
+                  saturate_irrelevant(power(cycle_ideal(d), n)))
+        if not J.is_unit
+    ]
+    return [
+        t
+        for I in ideals
+        for char in (0, 32003)
+        for t in cohomology_tables(I, range(krull_dimension(I) + 1), char).values()
+    ]
+
+
+def pattern_key(item):
+    p, _ = item
+    return (len(p.G), p.G, p.a_plus)
+
+
+class TestColumnarTable:
+    """The table's arrays against formulas over its ``entries`` dict."""
+
+    @pytest.fixture(scope="class")
+    def tables(self) -> list[CohomologyTable]:
+        return columnar_tables()
+
+    def test_invariants_equal_the_entry_formulas(self, tables):
+        for t in tables:
+            fl, lo, hi = t.finite_length, table_indeg(t), table_topdeg(t)
+            assert "entries" not in vars(t)
+            e = t.entries
+            assert fl == all(not p.G for p in e)
+            if not fl:
+                assert lo == ExtendedDegree.neg_inf()
+            elif not e:
+                assert lo == ExtendedDegree.pos_inf()
+            else:
+                assert lo.value == min(sum(p.a_plus) for p in e)
+            if e:
+                assert hi.value == max(p.total_degree for p in e)
+            else:
+                assert hi == ExtendedDegree.neg_inf()
+            assert t.entries is e and len(e) == t.dims.size
+            assert all(dim > 0 for dim in e.values())
+
+    def test_order_is_the_pattern_key(self, tables):
+        wide = 0
+        for t in tables:
+            want = sorted(t.entries.items(), key=pattern_key)
+            assert t.sorted_entries() == want
+            assert [
+                (tuple(e["G"]), tuple(e["a_plus"]), e["dim"])
+                for e in t.to_dict()["entries"]
+            ] == [(p.G, p.a_plus, dim) for p, dim in want]
+            wide += any(len(p.G) >= 2 for p in t.entries)
+        assert wide >= 10
+
+    def test_json_round_trip_with_two_element_g(self, tables):
+        wide = [t for t in tables if any(len(p.G) >= 2 for p in t.entries)]
+        assert len(wide) >= 10
+        for t in wide:
+            back = CohomologyTable.from_json(t.to_json())
+            assert back == t and back.entries == t.entries
+
+    def test_from_dict_rejects_a_repeated_pattern(self):
+        row = {"G": [1], "a_plus": [0, 0], "dim": 1}
+        data = {"i": 1, "char": 0, "finite_length": False, "entries": [row, row]}
+        with pytest.raises(ValueError, match="listed twice"):
+            CohomologyTable.from_dict(data)
+
+    def test_equality_ignores_row_order(self, tables):
+        t = max(tables, key=lambda t: t.dims.size)
+        flip = slice(None, None, -1)
+        reordered = CohomologyTable(
+            i=t.i, char=t.char, a_plus=t.a_plus[flip], g_masks=t.g_masks[flip],
+            dims=t.dims[flip], rho=t.rho)
+        assert reordered == t and reordered.sorted_rows() == t.sorted_rows()
+        changed = t.dims.copy()
+        changed[0] += 1
+        assert CohomologyTable(
+            i=t.i, char=t.char, a_plus=t.a_plus, g_masks=t.g_masks,
+            dims=changed, rho=t.rho) != t
+
+    def test_invariants_build_no_entries(self, monkeypatch):
+        from monocoh import asymptotics as asy
+
+        built = []
+        scan = tk.cohomology_tables
+
+        def recording(*args, **kwargs):
+            out = scan(*args, **kwargs)
+            built.extend(out.values())
+            return out
+
+        monkeypatch.setattr(tk, "cohomology_tables", recording)
+        J = saturate_irrelevant(power(cycle_ideal(5), 3))
+        indeg(J, 1, 0)
+        topdeg(J, 1, 0)
+        regularity(J, 0)
+        asy._row_for_power(cycle_ideal(5), 3, 1, True, 0, tk.DEFAULT_PATTERN_CAP)
+        assert len(built) == 2 + 2 * (krull_dimension(J) + 1) + 1
+        assert sum(t.dims.size for t in built) > 0
+        assert all("entries" not in vars(t) for t in built)
