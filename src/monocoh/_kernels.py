@@ -12,8 +12,6 @@ All kernels are deterministic and allocation-light.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # The benchmark records this name in every run.
@@ -105,52 +103,74 @@ def pairwise_minimal(exps: np.ndarray) -> np.ndarray:
 
 
 def scan_face_masks(
-    box: np.ndarray,
-    free_axes: list[int],
-    g_axes: list[int],
-    faces: list[tuple[int, ...]],
+    box: np.ndarray, faces: list[tuple[int, ...]], max_i: int
 ) -> np.ndarray:
-    """Face-presence bitmasks of degree complexes, over a whole pattern box.
+    """One key per cell of a membership box: the faces of the cell's degree
+    complex and the size of its negative support.
 
-    ``box`` is an upward-closed membership box of shape ``rho + 1``. For each
-    exponent pattern ``a`` ranging over the interior ``0 <= a_j < rho_j`` of
-    the sub-box spanned by ``free_axes`` (C order, ascending axis index; axes
-    in ``g_axes`` pinned to 0; no rows if some ``rho_j = 0``), and for each
-    candidate face ``F`` (a tuple of free axes), face ``F`` is present iff
-    the box is 0 at the probe point with coordinates ``rho_j`` on
-    ``g_axes + F`` and ``a_j`` elsewhere.
+    ``box`` is an upward-closed membership box of shape ``rho + 1``. Cell
+    ``b`` is the degree pattern with negative support
+    ``G = {j : b_j = rho_j}`` and ``a⁺ = b`` off ``G`` (an axis with
+    ``rho_j = 0`` is in every ``G``). With ``nf = len(faces)``, its key holds:
 
-    Returns a ``(npat, max(1, ceil(nf / 64)))`` array of mask words; bit
-    ``f`` of row ``p`` (bit ``f % 64`` of word ``f // 64``) is set when face
-    ``faces[f]`` is present in the complex of pattern ``p``. The words are
-    the narrowest unsigned type that holds ``nf`` bits: uint8 up to 8 faces,
-    uint16 up to 16, uint32 up to 32, else uint64.
+    - bit ``f < nf``, set when face ``faces[f]`` (a nonempty ascending tuple
+      of axes) is present at ``b``: ``F ∩ G = ∅`` and the box is 0 at
+      ``b ∨ rho·1_F``. A face of ``max_i + 1`` axes is kept at ``G = ∅``
+      only, the one support whose homology degrees reach it;
+    - from bit ``nf`` up, ``min(|G|, max_i + 1)``, or ``max_i + 1`` when the
+      box is 1 at ``b`` (the void complex). A cell with that top value
+      belongs to no table of degree ``i <= max_i``.
+
+    Returns a ``(box.size, words)`` array, one row per cell in C order of the
+    box; bit ``k`` of a key is bit ``k % 64`` of word ``k // 64``. The words
+    are the narrowest unsigned type that holds the key's bits: uint8 up to 8,
+    uint16 up to 16, uint32 up to 32, else as many uint64 words as needed.
+
+    Every face is written over the whole box, so that each write has a
+    contiguous destination. The faces that share their last axis ``m`` are
+    first gathered on the top slab of ``m`` and then written together along
+    ``m``. Afterwards each top slab clears the faces that meet its axis, and
+    every widest face.
     """
-    shape = box.shape
-    sub_dims = [shape[j] - 1 for j in free_axes]
+    top = max_i + 1
     nf = len(faces)
-    npat = math.prod(sub_dims)
-    nw = max(1, (nf + 63) // 64)
+    nbits = nf + top.bit_length()
     word = np.dtype(
-        np.uint8 if nf <= 8 else np.uint16 if nf <= 16
-        else np.uint32 if nf <= 32 else np.uint64
+        np.uint8 if nbits <= 8 else np.uint16 if nbits <= 16
+        else np.uint32 if nbits <= 32 else np.uint64
     )
-    out = np.zeros((npat, nw), dtype=word)
-    if nf == 0 or npat == 0:
-        return out
-    # out viewed over the pattern box; a face axis is probed at its top
-    # cell and kept with length 1, so the probe broadcasts along it
-    out_box = out.reshape(tuple(sub_dims) + (nw,))
-    g_set = set(g_axes)
+    keys = np.zeros(box.shape + ((nbits + 63) // 64,), dtype=word)
+    slabs = [(slice(None),) * j + (slice(-1, None),) for j in range(box.ndim)]
+    # the field: |G| counted over the top slabs, cells of the ideal pushed
+    # past the clamp; written first, so its low word takes it by assignment
+    field = box * np.uint8(top)
+    for slab in slabs:
+        field[slab] += 1
+    field[field > top] = top
+    w, shift = divmod(nf, 64)
+    keys[..., w] = field
+    keys[..., w] <<= word.type(shift)
+    if shift + top.bit_length() > 64:
+        keys[..., w + 1] = field >> np.uint8(64 - shift)
+    cleared = np.zeros((box.ndim, keys.shape[-1]), dtype=word)
+    by_last: dict[int, list[int]] = {}
     for f_i, f in enumerate(faces):
-        idx = tuple(
-            shape[j] - 1 if j in g_set else slice(-1, None) if j in f
-            else slice(0, -1)
-            for j in range(len(shape))
-        )
-        presence = (box[idx] == 0).astype(word) << word.type(f_i & 63)
-        out_box[..., f_i >> 6] |= presence
-    return out
+        by_last.setdefault(f[-1], []).append(f_i)
+    for m, group in by_last.items():
+        acc = np.zeros(keys[slabs[m]].shape, dtype=word)
+        for f_i in group:
+            f = faces[f_i]
+            w, shift = divmod(f_i, 64)
+            for j in range(box.ndim) if len(f) == top else f:
+                cleared[j, w] |= word.type(1) << word.type(shift)
+            src = tuple(slice(-1, None) if j in f else slice(None)
+                        for j in range(box.ndim))
+            acc[..., w] |= (box[src] == 0).astype(word) << word.type(shift)
+        keys |= acc
+    for slab, bits in zip(slabs, cleared):
+        if bits.any():
+            keys[slab] &= ~bits
+    return keys.reshape(-1, keys.shape[-1])
 
 
 def gf_rank(mat: np.ndarray, p: int) -> int:

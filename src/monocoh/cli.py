@@ -109,8 +109,9 @@ def _add_common(p: argparse.ArgumentParser, powers_default: str) -> None:
         default=DEFAULT_PATTERN_CAP,
         help=(
             "abort if a single table's clamped pattern boxes, prod(rho_j+1) "
-            "per negative support, hold more cells than this (an upper bound "
-            "on the degree patterns scanned)"
+            "over j outside G summed over its negative supports G, hold more "
+            "cells than this (the term for empty G is the box of "
+            "prod(rho_j+1) cells that is scanned)"
         ),
     )
     p.add_argument(

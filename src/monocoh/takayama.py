@@ -11,13 +11,15 @@ which is what this module computes.
 
 Only the interior a⁺_j < rho_j can be nonzero: if a⁺_j >= rho_j for some j
 outside G_a, no generator exceeds a⁺_j in coordinate j, so j is a cone point
-of Δ_a and its reduced homology vanishes. The scan visits only that interior;
-an axis with rho_j = 0 (a variable absent from I) has none.
+of Δ_a and its reduced homology vanishes. The patterns that remain are
+exactly the cells of the upward-closed membership box of shape rho + 1: cell
+b is the pattern with G = {j : b_j = rho_j} and a⁺ = b off G. An axis with
+rho_j = 0 (a variable absent from I) is in every G.
 
-The pattern scan works on an upward-closed membership box: a face probe is
-one array lookup at the point with coordinates rho_j on F ∪ G and a⁺_j
-elsewhere. Candidate faces are restricted to faces of Δ(I), since every
-degree complex is a subcomplex of it.
+One pass over that box serves every G: a face F with F ∩ G = ∅ is present
+at b iff the box is 0 at b ∨ rho·1_F, one array lookup. Candidate faces are
+restricted to faces of Δ(I), since every degree complex is a subcomplex of
+it.
 
 Pattern evaluations share no mutable state and the assembled table is
 independent of evaluation order; everything here is pure.
@@ -29,7 +31,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -327,8 +328,8 @@ def cohomology_dim_at(
 
 def _pattern_count(rho: Sequence[int], d: int, max_g: int) -> int:
     """Patterns the cap counts: sum over |G| <= max_g of the clamped free box
-    volume prod_{j not in G} (rho_j + 1), via a subset-size DP; an upper
-    bound on the interiors prod_{j not in G} rho_j that are scanned."""
+    volume prod_{j not in G} (rho_j + 1), via a subset-size DP. Its G = ∅
+    term prod (rho_j + 1) is the number of box cells the scan visits."""
     coeffs = [1]
     for j in range(d):
         nxt = [0] * (len(coeffs) + 1)
@@ -356,8 +357,10 @@ def _unique_rows(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Single-word keys, at least ``_DENSE_DEDUP_MIN_KEYS`` of them and all
     below ``_DENSE_DEDUP_SPAN`` times their count, go through a presence
-    table over the key range: flag every key, number the flags by a running
-    sum. Any other call sorts, through ``np.unique``.
+    table over the key range: flag every key and number the flagged keys in
+    order. That inverse has one entry per key, so it takes the narrowest
+    unsigned type that holds a row index. Any other call sorts, through
+    ``np.unique``.
     """
     keys = _row_keys(masks)
     if masks.shape[1] == 1 and keys.size >= _kernels._DENSE_DEDUP_MIN_KEYS:
@@ -365,9 +368,10 @@ def _unique_rows(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if top < _kernels._DENSE_DEDUP_SPAN * keys.size:
             flags = np.zeros(top + 1, dtype=bool)
             flags[keys] = True
-            ids = np.cumsum(flags) - 1
-            uniq = np.flatnonzero(flags).astype(masks.dtype)
-            return uniq.reshape(-1, 1), ids[keys]
+            uniq = np.flatnonzero(flags)
+            ids = np.zeros(top + 1, dtype=np.min_scalar_type(uniq.size))
+            ids[uniq] = np.arange(uniq.size)
+            return uniq.astype(masks.dtype).reshape(-1, 1), ids[keys]
     uniq, inverse = np.unique(keys, return_inverse=True)
     return uniq.view(masks.dtype).reshape(-1, masks.shape[1]), inverse
 
@@ -383,27 +387,27 @@ def cohomology_tables(
     char: int = 0,
     pattern_cap: int = DEFAULT_PATTERN_CAP,
 ) -> dict[int, CohomologyTable]:
-    """The tables of every requested i from one scan of the degree patterns.
+    """The tables of every requested i from one scan of the membership box.
 
-    Δ_a(I) depends on (G, a⁺) only, so each G with |G| <= max i is scanned
-    once. Subsets G are visited by increasing size then lexicographic order,
-    and for each G the interior a⁺_j < rho_j of the free axes is swept in C
-    order (a G with a free rho_j = 0 has none and is skipped). The candidate
-    faces are those the widest requested homology degree at that G needs
-    (|F| <= q + 2 with q = i - |G| - 1), and each unique complex yields
-    H~_q for every requested q, filed under i = q + |G| + 1. Sizes |G| > i
-    contribute nothing to table i: their homology degree is below -1.
+    Each cell b of the ``rho + 1`` box is one degree pattern: G is the set of
+    axes where b_j = rho_j, and a⁺ = b off G. One ``scan_face_masks`` call
+    keys every cell by its face word and min(|G|, max i + 1). The candidate
+    faces are the faces of Δ(I) that avoid the absent variables (rho_j = 0,
+    so j is in every G) and have at most max i + 1 vertices: H~_q reads faces
+    of up to q + 2 vertices, and q = i - |G| - 1 is widest at G = ∅. A size
+    |G| > i contributes nothing to table i, since its homology degree is
+    below -1, so cells with |G| > max i share the top field value and yield
+    nothing.
 
-    The scan's mask rows are deduplicated by ``_unique_rows``: through a
-    presence table when the keys are single words, many and dense (the
-    usual case for powers, whose key space at each G is small), else by
-    ``np.unique``'s sort. Both give the distinct rows in key order and the
-    same partition of the patterns.
-
-    The nonzero patterns at one G and one i form a block of rows: their a⁺,
-    decoded from the scan's flat indices by ``np.unravel_index``, and their
-    dimensions. The blocks of each i are written once into the table's
-    arrays; no per-pattern object is built.
+    Cells inside the ideal carry the void complex (most of a power's box)
+    and are dropped first. ``_unique_rows`` deduplicates the keys of the rest
+    once: through a presence table when they are single words, many and
+    dense (the usual case for powers), else by ``np.unique``'s sort. Each
+    distinct complex yields H~_q for every requested q at its |G|, filed
+    under i = q + |G| + 1. Only the cells with a nonzero dimension are
+    decoded, from their flat index, into (G, a⁺) rows, and a stable sort on
+    (|G|, G) leaves them in the order (|G|, G, a⁺) of ``sorted_rows``: C order
+    already sorts a⁺ within one G.
 
     Raises ResourceCapError, naming the first i over ``pattern_cap``, before
     anything is scanned.
@@ -425,81 +429,60 @@ def cohomology_tables(
                 cap=pattern_cap,
             )
     box = membership_box(I)
-    # every face of Δ(I) with its size and axes; the widest one any scan
-    # needs (at G = ∅) bounds the size
-    width = i_list[-1] + 1
+    top = i_list[-1] + 1
+    absent = sum(1 << j for j in range(d) if not rho[j])
     faces = [
-        (f, f.bit_count(), tuple(j for j in range(d) if f >> j & 1))
+        f
         for f in np.flatnonzero(_radical_face_flags(I)).tolist()
-        if f.bit_count() <= width
+        if f and not f & absent and f.bit_count() <= top
     ]
-    blocks: dict[int, list] = {i: [] for i in i_list}
-    memo: dict[tuple, dict[int, int]] = {}
-    for g_size in range(0, i_list[-1] + 1):
-        qs = tuple(i - g_size - 1 for i in i_list if i >= g_size)
-        for g_combo in combinations(range(d), g_size):
-            gmask = 0
-            for j in g_combo:
-                gmask |= 1 << j
-            free_axes = [j for j in range(d) if not gmask >> j & 1]
-            sub_shape = tuple(rho[j] for j in free_axes)
-            if 0 in sub_shape:
-                continue
-            # cells beyond dimension q+1 cannot affect H~_q: the widest
-            # requested q at this G decides
-            cand = [
-                (f, axes)
-                for f, size, axes in faces
-                if not f & gmask and size <= qs[-1] + 2
-            ]
-            cand_masks = [f for f, _ in cand]
-            masks = _kernels.scan_face_masks(
-                box, free_axes, list(g_combo), [axes for _, axes in cand]
-            )
-            rows, inverse = _unique_rows(masks)
-            dims_u = np.zeros((len(qs), rows.shape[0]), dtype=np.int64)
-            for u, row in enumerate(rows.tolist()):
-                word = _row_word(row)
-                present = tuple(
-                    f for k, f in enumerate(cand_masks) if word >> k & 1
-                )
-                key = (qs, present)
-                if key not in memo:
-                    memo[key] = homology_dims_from_masks(present, char, qs)
-                dims_u[:, u] = [memo[key].get(q, 0) for q in qs]
-            for k, q in enumerate(qs):
-                nonzero = dims_u[k] != 0
-                if not nonzero.any():
-                    continue
-                hits = np.flatnonzero(nonzero[inverse])
-                coords = np.unravel_index(hits, sub_shape) if free_axes else ()
-                blocks[q + g_size + 1].append(
-                    (gmask, free_axes, coords, dims_u[k][inverse[hits]])
-                )
-    return {i: _table_from_blocks(i, char, rho, blocks[i]) for i in i_list}
-
-
-def _table_from_blocks(
-    i: int, char: int, rho: Sequence[int], blocks: list[tuple]
-) -> CohomologyTable:
-    """One table from the scan's blocks ``(gmask, free_axes, coords, dims)``:
-    each block's rows share G, and ``coords`` are their a⁺ on the free axes."""
-    total = sum(block[3].size for block in blocks)
-    # a⁺_j < rho_j: the narrowest unsigned type holding max rho suffices
-    a_plus = np.zeros((total, len(rho)), dtype=np.min_scalar_type(max(rho)))
-    g_masks = np.zeros(total, dtype=np.int64)
-    dims = np.zeros(total, dtype=np.int64)
-    start = 0
-    for gmask, free_axes, coords, block_dims in blocks:
-        stop = start + block_dims.size
-        g_masks[start:stop] = gmask
-        dims[start:stop] = block_dims
-        for j, col in zip(free_axes, coords):
-            a_plus[start:stop, j] = col
-        start = stop
-    return CohomologyTable(
-        i=i, char=char, a_plus=a_plus, g_masks=g_masks, dims=dims, rho=tuple(rho)
+    keys = _kernels.scan_face_masks(
+        box, [tuple(j for j in range(d) if f >> j & 1) for f in faces], top - 1
     )
+    outside = np.flatnonzero(box.reshape(-1) == 0)
+    rows, inverse = _unique_rows(keys[outside])
+    nf = len(faces)
+    k_of_i = {i: k for k, i in enumerate(i_list)}
+    dims_u = np.zeros((len(i_list), rows.shape[0]), dtype=np.int64)
+    for u, row in enumerate(rows.tolist()):
+        key = _row_word(row)
+        g_size = key >> nf
+        if g_size == top:
+            continue
+        # the complex's faces, one per set bit of the face word
+        present = [0]
+        word = key & ((1 << nf) - 1)
+        while word:
+            low = word & -word
+            present.append(faces[low.bit_length() - 1])
+            word ^= low
+        qs = [i - g_size - 1 for i in i_list if i >= g_size]
+        for q, dim in homology_dims_from_masks(present, char, qs).items():
+            dims_u[k_of_i[q + g_size + 1], u] = dim
+    hits = np.flatnonzero(dims_u.any(axis=0)[inverse])
+    cells, row_of = outside[hits], inverse[hits]
+    coords = np.stack(np.unravel_index(cells, box.shape), axis=1)
+    on_g = coords == np.array(rho)
+    bits = 1 << np.arange(d, dtype=np.int64)
+    g_masks = on_g @ bits
+    # within one |G|, G ascends lexicographically as its bit-reversed mask
+    # descends
+    order = np.argsort(
+        (on_g.sum(axis=1) << d) - on_g @ bits[::-1], kind="stable"
+    )
+    # a⁺_j < rho_j: the narrowest unsigned type holding max rho suffices
+    a_plus = coords.astype(np.min_scalar_type(max(rho)))
+    a_plus[on_g] = 0
+    a_plus, g_masks, row_of = a_plus[order], g_masks[order], row_of[order]
+    tables = {}
+    for i in i_list:
+        dims = dims_u[k_of_i[i]][row_of]
+        hit = dims != 0
+        tables[i] = CohomologyTable(
+            i=i, char=char, a_plus=a_plus[hit], g_masks=g_masks[hit],
+            dims=dims[hit], rho=tuple(rho),
+        )
+    return tables
 
 
 def cohomology_table(

@@ -14,6 +14,7 @@ methods are exempt, since the language calls them.
 import ast
 import importlib
 import importlib.util
+import math
 import re
 from pathlib import Path
 
@@ -69,14 +70,39 @@ def test_every_defined_name_is_referenced():
     assert not dead, f"defined but referenced nowhere: {dead}"
 
 
-def test_tracer_binding_sites_resolve():
-    # the tracer wraps these (module, name) pairs by name, so a rename in the
-    # package would break ``perfbench/run.py --trace 1``
+def load_tracer():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_binding_sites_resolve():
+    # the tracer wraps these (module, name) pairs by name, so a rename in the
+    # package would break ``perfbench/run.py --trace 1``
+    tracer = load_tracer()
     assert tracer.TRACED_FUNCTIONS
     for module, name, _span in tracer.TRACED_FUNCTIONS:
         fn = getattr(importlib.import_module(module), name, None)
         assert callable(fn), f"{module}.{name} is not a callable"
+
+
+def test_tracer_observes_one_scan_of_the_box():
+    # the tracer's observers read the values the package returns: the scan's
+    # count is ``result.shape[0]`` of one 2-D array, which for one table is
+    # every cell of its rho + 1 box
+    tracer = load_tracer()
+    importlib.import_module("monocoh.cli")  # every module the tracer wraps
+    mc = importlib.import_module("monocoh.monomial_core")
+    I = mc.parse_ideal("x1^2*x2, x2^3*x3, x1*x3^2", 3)
+    cells = math.prod(r + 1 for r in mc.var_degree_bounds(I).rho)
+    recorder = tracer.Tracer()
+    installed = tracer.Installation(recorder)
+    try:
+        table = importlib.import_module("monocoh.takayama").cohomology_table(I, 1)
+    finally:
+        installed.restore()
+    assert table.dims.size
+    assert recorder.summary()[1]["_kernels.scan_face_masks"] == 1
+    assert recorder.layer_metrics(0)["kernels.scan_patterns"] == cells == 36

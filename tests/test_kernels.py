@@ -119,81 +119,79 @@ class TestPairwiseMinimal:
             assert got == want
 
 
+def probe_key(box, faces, max_i, cell):
+    """The key ``scan_face_masks`` writes at ``cell``, from direct probes of
+    the box: the face bits, then min(|G|, max_i + 1) above them, with a cell
+    of the ideal at the top value."""
+    top = max_i + 1
+    G = {j for j, b in enumerate(cell) if b == box.shape[j] - 1}
+    key = top if box[cell] else min(len(G), top)
+    key <<= len(faces)
+    for f_i, f in enumerate(faces):
+        if G & set(f) or (G and len(f) == top):
+            continue
+        probe = tuple(box.shape[j] - 1 if j in f else b
+                      for j, b in enumerate(cell))
+        if box[probe] == 0:
+            key |= 1 << f_i
+    return key
+
+
+def scan_against_probes(rng, shape, nf, max_i):
+    """Scan a random upward-closed box with ``nf`` random faces of at most
+    ``max_i + 1`` axes; check every key against ``probe_key`` and return
+    the keys as Python integers."""
+    d = len(shape)
+    box = np.zeros(shape, dtype=np.uint8)
+    for _ in range(3):
+        box[tuple(int(rng.integers(0, n)) for n in shape)] = 1
+    kr.upward_close(box)
+    pool = [f for k in range(1, max_i + 2) for f in combinations(range(d), k)]
+    faces = [pool[k] for k in sorted(rng.choice(len(pool), nf, replace=False))]
+    keys = kr.scan_face_masks(box, faces, max_i)
+    assert isinstance(keys, np.ndarray) and keys.shape[0] == box.size
+    got = [sum(int(w) << (64 * k) for k, w in enumerate(row))
+           for row in keys.tolist()]
+    assert got == [probe_key(box, faces, max_i, c) for c in np.ndindex(*shape)]
+    return keys, got
+
+
 class TestScanAgainstProbes:
     @pytest.mark.parametrize("g_count", [0, 1, 3, 7])
     def test_bits_are_box_probes(self, g_count):
-        # every bit against a direct probe of the box, with more than 64
-        # faces so that faces land in the second mask word; g_count = 7
-        # leaves no free axis, so one pattern and only the empty face.
-        # Free axes have length >= 2, so every scan has interior rows; G
-        # axes keep their draws, length 1 included.
+        # every bit of every cell against a direct probe of the box, with 80
+        # faces so that faces land in the second word, and with cells on
+        # top slabs (G != ∅). g_count axes have rho_j = 0, so they sit in
+        # every G; at g_count = 7 the box is one cell.
         rng = np.random.default_rng(40 + g_count)
         d = 7
-        shape = [int(x) for x in rng.integers(1, 4, size=d)]
-        g_axes = sorted(rng.choice(d, size=g_count, replace=False).tolist())
-        free = [j for j in range(d) if j not in g_axes]
-        for j in free:
-            shape[j] += 1
-        shape = tuple(shape)
-        box = random_box(rng, shape)
-        kr.upward_close(box)
-        faces = [f for k in range(len(free) + 1)
-                 for f in combinations(free, k)][:80]
-        masks = kr.scan_face_masks(box, free, g_axes, faces)
-        sub = [shape[j] - 1 for j in free]
-        assert masks.shape == (int(np.prod(sub)), (len(faces) + 63) // 64)
-        assert (masks.shape[0] == 1) == (g_count == d)
-        for p, a in enumerate(np.ndindex(*sub)):
-            for f_i, f in enumerate(faces):
-                probe = [0] * d
-                for t, j in enumerate(free):
-                    probe[j] = a[t]
-                for j in g_axes + list(f):
-                    probe[j] = shape[j] - 1
-                bit = int(masks[p, f_i >> 6]) >> (f_i & 63) & 1
-                assert bit == (box[tuple(probe)] == 0)
+        shape = [int(x) for x in rng.integers(3, 5, size=d)]
+        for j in rng.choice(d, size=g_count, replace=False):
+            shape[j] = 1
+        keys, got = scan_against_probes(rng, tuple(shape), 80, 3)
+        assert keys.shape[1] == 2
+        fields = {key >> 80 for key in got}
+        assert (0 in fields) == (g_count == 0) and 4 in fields
+        if g_count < 3:
+            assert any(key >> 80 == 1 and key & ((1 << 80) - 1) for key in got)
 
 
 class TestScanWords:
-    @pytest.mark.parametrize("nf", [0, 1, 8, 9, 16, 17, 32, 33, 64, 65])
+    @pytest.mark.parametrize(
+        "nf", [0, 1, 6, 8, 9, 14, 16, 17, 30, 32, 33, 62, 63, 64, 65])
     def test_narrow_words_hold_the_uint64_bits(self, nf):
-        # the words are the narrowest unsigned type for nf bits, and the
-        # bits are those of a uint64 reference built face by face
+        # the words are the narrowest unsigned type for the nf face bits and
+        # the field above them, and hold the bits of the probes: nf = 6, 14,
+        # 30, 62 fill 8, 16, 32, 64 bits exactly, and at nf = 63 the field
+        # straddles the two uint64 words
+        max_i = 1 if nf <= 28 else 2 if nf <= 63 else 3
+        nbits = nf + (max_i + 1).bit_length()
         rng = np.random.default_rng(nf)
-        d = 7
-        shape = tuple(int(x) for x in rng.integers(2, 4, size=d))
-        box = random_box(rng, shape)
-        kr.upward_close(box)
-        g_axes = [5] if nf <= 64 else []
-        free = [j for j in range(d) if j not in g_axes]
-        faces = [f for k in range(len(free) + 1)
-                 for f in combinations(free, k)][:nf]
-        assert len(faces) == nf
-        masks = kr.scan_face_masks(box, free, g_axes, faces)
-        width = next((w for w in (8, 16, 32) if nf <= w), 64)
-        assert masks.dtype == np.dtype(f"uint{width}")
-        assert masks.shape[1] == max(1, (nf + 63) // 64)
-        sub = [shape[j] - 1 for j in free]
-        ref = np.zeros((int(np.prod(sub)), masks.shape[1]), dtype=np.uint64)
-        for p, a in enumerate(np.ndindex(*sub)):
-            for f_i, f in enumerate(faces):
-                probe = [0] * d
-                for t, j in enumerate(free):
-                    probe[j] = shape[j] - 1 if j in f else a[t]
-                for j in g_axes:
-                    probe[j] = shape[j] - 1
-                if box[tuple(probe)] == 0:
-                    ref[p, f_i >> 6] |= np.uint64(1) << np.uint64(f_i & 63)
-        assert np.array_equal(masks.astype(np.uint64), ref)
-
-    @pytest.mark.parametrize("g_axes", [[], [0], [2]])
-    def test_free_axis_of_length_one_gives_no_rows(self, g_axes):
-        # a free axis with rho_j = 0 has an empty interior 0..rho_j - 1
-        box = np.zeros((3, 1, 2), dtype=np.uint8)
-        free = [j for j in range(3) if j not in g_axes]
-        faces = [(), (free[0],)]
-        masks = kr.scan_face_masks(box, free, g_axes, faces)
-        assert masks.shape == (0, 1)
+        shape = tuple(int(x) for x in rng.integers(2, 4, size=7))
+        keys, _ = scan_against_probes(rng, shape, nf, max_i)
+        width = next((w for w in (8, 16, 32) if nbits <= w), 64)
+        assert keys.dtype == np.dtype(f"uint{width}")
+        assert keys.shape[1] == (nbits + 63) // 64
 
 
 class TestRanks:

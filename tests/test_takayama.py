@@ -1,7 +1,8 @@
 """Degree complexes, cohomology tables, and the degree invariants."""
 
+import math
+import tracemalloc
 import types
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from monocoh import takayama as tk
 from monocoh.errors import ResourceCapError, UnitIdealError
 from monocoh.monomial_core import (
     krull_dimension,
+    membership_box,
     parse_ideal,
     power,
     saturate_irrelevant,
@@ -351,30 +353,31 @@ class TestOneScan:
                     assert some[i] == t
 
     def test_regularity_scans_each_g_once(self, small_corpus, monkeypatch):
+        # one scan per cohomology_tables call: its box holds every G once,
+        # as the cells on the top slabs of G's axes
         calls = []
         scan = _kernels.scan_face_masks
 
-        def counting(box, free_axes, g_axes, faces):
-            calls.append(tuple(g_axes))
-            return scan(box, free_axes, g_axes, faces)
+        def recording(box, faces, max_i):
+            keys = scan(box, faces, max_i)
+            calls.append((box.shape, faces, max_i, keys.shape[0]))
+            return keys
 
-        monkeypatch.setattr(_kernels, "scan_face_masks", counting)
-        # x1*x2 in d = 3: x3 is absent (rho_3 = 0), so every scanned G contains it
+        monkeypatch.setattr(_kernels, "scan_face_masks", recording)
+        # x1*x2 in d = 3: x3 is absent (rho_3 = 0), so no face may hold it
         absent = parse_ideal("x1*x2", 3)
         for J in small_corpus[:20] + [cycle_ideal(6), absent]:
             calls.clear()
             regularity(J, 0)
-            top = krull_dimension(J)
             rho = var_degree_bounds(J).rho
-            # one scan per G whose free axes all have an interior
-            want = [
-                g for k in range(top + 1) for g in combinations(range(J.d), k)
-                if all(rho[j] >= 1 for j in range(J.d) if j not in g)
-            ]
-            assert len(calls) == len(set(calls))
-            assert sorted(calls) == sorted(want)
-            assert max(len(g) for g in calls) == top
-        assert calls == [(2,), (0, 2), (1, 2)]
+            [(shape, faces, max_i, cells)] = calls
+            # the whole box, which is the G = ∅ term of the pattern cap
+            assert shape == tuple(r + 1 for r in rho)
+            assert cells == math.prod(shape) == tk._pattern_count(rho, J.d, 0)
+            assert max_i == krull_dimension(J)
+            assert all(0 < len(f) <= max_i + 1 for f in faces)
+            assert all(rho[j] for f in faces for j in f)
+        assert faces == [(0,), (1,)]
 
     def test_cap_names_first_degree_over_it(self, monkeypatch):
         I = cycle_ideal(5)  # rho = 1: 32 patterns at i=0, 112 at i=1
@@ -481,23 +484,30 @@ class TestMaskDedup:
         assert sorted_sizes == [n]
 
     def test_cycle_grid_tables_take_the_presence_table(self, monkeypatch):
-        # a cycle-grid-shaped table: every scan of at least MIN patterns
-        # is deduplicated without a sort
+        # a cycle-grid-shaped table: its one scan keeps at least MIN cells
+        # outside the ideal, and they are deduplicated without a sort, into
+        # a narrow inverse; the table equals the one the sort gives
         sorted_sizes = recording_unique(monkeypatch)
-        scanned = []
-        scan = _kernels.scan_face_masks
+        deduped = []
+        unique_rows = tk._unique_rows
 
-        def counting(*args):
-            masks = scan(*args)
-            scanned.append(masks.shape[0])
-            return masks
+        def recording(masks):
+            rows, inverse = unique_rows(masks)
+            deduped.append((masks.shape[0], rows.shape[0], inverse.dtype))
+            return rows, inverse
 
-        monkeypatch.setattr(_kernels, "scan_face_masks", counting)
+        monkeypatch.setattr(tk, "_unique_rows", recording)
+        J = saturate_irrelevant(power(cycle_ideal(6), 5))
+        dense = cohomology_table(J, 1)
+        [(keys, rows, dtype)] = deduped
+        assert keys >= self.MIN and sorted_sizes == []
+        assert dtype == np.min_scalar_type(rows)
+        monkeypatch.setattr(_kernels, "_DENSE_DEDUP_MIN_KEYS", keys + 1)
+        assert cohomology_table(J, 1) == dense and sorted_sizes == [keys]
+        assert dense.dims.size > 0
         J = saturate_irrelevant(power(cycle_ideal(6), 4))
         want = oracles.cycle_table_oracle(6, 4, 1)
         assert entry_map(cohomology_table(J, 1)) == want
-        assert max(scanned) >= self.MIN
-        assert sorted_sizes and max(sorted_sizes) < self.MIN
 
 
 class TestExtendedDegreeInvariants:
@@ -623,6 +633,27 @@ class TestColumnarTable:
             wide += any(len(p.G) >= 2 for p in t.entries)
         assert wide >= 10
 
+    def test_scan_writes_rows_in_key_order(self, tables):
+        # the arrays leave the scan sorted by (|G|, G, a⁺) already, so
+        # sorted_rows only confirms the order; x4 and x2 are absent below
+        absent = [(parse_ideal("x1*x2^2, x2*x3", 4), 3),
+                  (parse_ideal("x1^2*x3, x3^3", 3), 1)]
+        extra = [
+            (j, t)
+            for I, j in absent
+            for t in cohomology_tables(I, range(I.d + 1), 0).values()
+        ]
+        assert any(t.dims.size for _, t in extra)
+        for j, t in extra:
+            assert all(g >> j & 1 for g in t.g_masks.tolist())
+        wide = 0
+        for t in tables + [t for _, t in extra]:
+            G = tk._g_tuples(t.g_masks.tolist(), t.a_plus.shape[1])
+            rows = list(zip(G, t.a_plus.tolist(), t.dims.tolist()))
+            assert rows == t.sorted_rows()
+            wide += any(len(g) >= 2 for g in G)
+        assert wide >= 10
+
     def test_json_round_trip_with_two_element_g(self, tables):
         wide = [t for t in tables if any(len(p.G) >= 2 for p in t.entries)]
         assert len(wide) >= 10
@@ -669,3 +700,20 @@ class TestColumnarTable:
         assert len(built) == 2 + 2 * (krull_dimension(J) + 1) + 1
         assert sum(t.dims.size for t in built) > 0
         assert all("entries" not in vars(t) for t in built)
+
+
+class TestScanMemory:
+    def test_peak_is_at_most_8_bytes_per_box_cell(self):
+        # every per-cell array of the scan and the dedup keeps a narrow type:
+        # sat(C_7^6) at i = 1 spans 7^7 = 823,543 box cells
+        J = saturate_irrelevant(power(cycle_ideal(7), 6))
+        cells = membership_box(J).size
+        assert cells == 7**7
+        cohomology_table(saturate_irrelevant(power(cycle_ideal(5), 2)), 1)
+        tracemalloc.start()
+        try:
+            cohomology_table(J, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * cells
