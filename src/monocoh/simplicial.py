@@ -7,11 +7,16 @@ ordinary complexes. The empty face is the unique (-1)-cell of reduced chain
 complexes, so the irrelevant complex has H~_{-1} of dimension 1 and the
 void complex has no homology in any degree.
 
-Homology dimensions are exact: boundary ranks over the rationals and over
-F_p come from one sparse elimination on unit pivots in Python integers
-(``±1`` over Q, any nonzero residue over F_p); over Q, rows left with no
-``±1`` entry go to fraction-free big-integer elimination. Dimensions are all
-the cohomology formula consumes, so no Smith normal form is computed.
+Homology dimensions are exact. The rank of ∂_1 (edges to vertices) is
+V - c, vertices minus connected components, over Q and over every F_p: ∂_1
+is the oriented incidence matrix of the graph, which is totally unimodular.
+Boundary matrices are built only from ∂_2 up; their ranks over the
+rationals and over F_p come from one sparse elimination on unit pivots in
+Python integers (``±1`` over Q, any nonzero residue over F_p); over Q, rows
+left with no ``±1`` entry go to fraction-free big-integer elimination. A
+cone point skips the homology outright, and is looked for only when a
+matrix rank is still needed. Dimensions are all the cohomology formula
+consumes, so no Smith normal form is computed.
 
 Values are immutable and every function is pure.
 """
@@ -292,23 +297,56 @@ def _has_cone_point(
     return apex != 0
 
 
+def _component_count(vertices: list[int], edges: list[int]) -> int:
+    """Connected components of the graph with the given vertex and edge
+    masks, found by growing each component as a bitmask."""
+    adjacent: dict[int, int] = {}
+    for e in edges:
+        lo = e & -e
+        hi = e ^ lo
+        adjacent[lo] = adjacent.get(lo, 0) | hi
+        adjacent[hi] = adjacent.get(hi, 0) | lo
+    unseen = 0
+    for v in vertices:
+        unseen |= v
+    count = 0
+    while unseen:
+        component = frontier = unseen & -unseen
+        while frontier:
+            reached = 0
+            while frontier:
+                v = frontier & -frontier
+                reached |= adjacent.get(v, 0)
+                frontier ^= v
+            frontier = reached & ~component
+            component |= frontier
+        unseen &= ~component
+        count += 1
+    return count
+
+
 def _reduced_homology(
     face_masks: Iterable[int], degrees: Iterable[int] | None, char: int
 ) -> dict[int, int]:
     """Nonzero dims of H~_q for q in ``degrees`` (every degree when None).
 
-    Cone rule: with q_max the largest requested degree, if some vertex v has
-    F | v a face for every face F with |F| <= q_max + 1, then c(F) = [v, F]
+    Only the boundary ranks around the requested degrees are computed, each
+    once, so adjacent degrees share the rank between them. A rank whose
+    source or target has no cells is 0. The augmentation (vertices to the
+    empty face) has rank 1 whenever there is a vertex. ∂_1 (edges to
+    vertices) gives edge {u < v} the column e_v - e_u: it is the oriented
+    incidence matrix of the graph, which is totally unimodular, so its rank
+    over Q and over every F_p is V - c, with c the number of connected
+    components. No matrix is built below ∂_2.
+
+    Cone rule, tried only when some ∂_q with q >= 2 still needs a matrix:
+    with q_max the largest requested degree, if some vertex v has F | v a
+    face for every face F with |F| <= q_max + 1, then c(F) = [v, F]
     satisfies ∂c + c∂ = id on the augmented chains through degree q_max, so
-    every requested H~_q vanishes and no boundary matrix is built. Only faces
-    up to that size are asked about, so the rule holds for a face set
+    every requested H~_q vanishes and no boundary matrix is built. Only
+    faces up to that size are asked about, so the rule holds for a face set
     truncated above |F| = q_max + 2 (a hollow triangle is coned through
     degree 0 but not degree 1).
-
-    Otherwise only the boundary ranks around the requested degrees are
-    computed, each once, so adjacent degrees share the rank between them. The
-    rank of the augmentation (vertices to the empty face) is 1 whenever there
-    is a vertex.
     """
     faces = set(int(m) for m in face_masks)
     if not faces:
@@ -318,27 +356,26 @@ def _reduced_homology(
     by_dim: dict[int, list[int]] = {}
     for m in sorted(faces):
         by_dim.setdefault(m.bit_count() - 1, []).append(m)
-    top = max(by_dim)
-    wanted = range(-1, top + 1) if degrees is None else sorted(set(degrees))
-    if not wanted or _has_cone_point(by_dim, faces, max(wanted) + 1):
+    wanted = sorted(by_dim if degrees is None else by_dim.keys() & set(degrees))
+    if not wanted:
         return {}
-    # ranks[q]: rank of the boundary map from the q-cells to the (q-1)-cells
-    ranks: dict[int, int] = {-1: 0, 0: 1 if 0 in by_dim else 0}
-
-    def rank(q: int) -> int:
-        if q not in ranks:
-            ranks[q] = _matrix_rank(
-                _boundary_matrix(by_dim.get(q - 1, []), by_dim.get(q, [])), char
-            )
-        return ranks[q]
-
+    # ranks[q]: rank of the boundary map from the q-cells to the (q-1)-cells;
+    # a missing q has no q-cells, or is ∂_{-1}, and its rank is 0
+    ranks: dict[int, int] = {0: 1 if 0 in by_dim else 0}
+    if 1 in by_dim and (0 in wanted or 1 in wanted):
+        ranks[1] = len(by_dim[0]) - _component_count(by_dim[0], by_dim[1])
+    matrices = sorted(
+        {r for q in wanted for r in (q, q + 1) if r >= 2 and r in by_dim}
+    )
+    if matrices and _has_cone_point(by_dim, faces, wanted[-1] + 1):
+        return {}
+    for q in matrices:
+        ranks[q] = _matrix_rank(_boundary_matrix(by_dim[q - 1], by_dim[q]), char)
     dims: dict[int, int] = {}
     for q in wanted:
-        cells = by_dim.get(q)
-        if cells:
-            val = len(cells) - rank(q) - rank(q + 1)
-            if val:
-                dims[q] = val
+        val = len(by_dim[q]) - ranks.get(q, 0) - ranks.get(q + 1, 0)
+        if val:
+            dims[q] = val
     return dims
 
 
@@ -356,9 +393,9 @@ def homology_dims_from_masks(
 
 
 def homology_dim_single(face_masks: Iterable[int], q: int, char: int) -> int:
-    """dim H~_q of the complex with the given downward-closed face set: 0
-    without any rank work when the faces through dimension q are coned, else
-    from the two boundary ranks around q."""
+    """dim H~_q of the complex with the given downward-closed face set, from
+    the two boundary ranks around q; 0 without a boundary matrix when the
+    faces through dimension q are coned."""
     return _reduced_homology(face_masks, (q,), char).get(q, 0)
 
 

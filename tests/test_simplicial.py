@@ -5,11 +5,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from monocoh import simplicial
-from monocoh.monomial_core import parse_ideal
+from monocoh import _kernels, simplicial
+from monocoh.monomial_core import parse_ideal, power, saturate_irrelevant
 from monocoh.simplicial import (
     MAX_CHAR,
     SimplicialComplex,
+    _boundary_matrix,
+    _component_count,
     _reduced_homology,
     _validate_char,
     from_facets,
@@ -19,6 +21,7 @@ from monocoh.simplicial import (
     stanley_reisner_complex,
     stanley_reisner_ideal,
 )
+from monocoh.takayama import cohomology_table, regularity
 
 import oracles
 from conftest import corpus, cycle_ideal
@@ -27,6 +30,8 @@ RP2_FACETS = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
               (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)]
 # boundary of the triangle on vertices 1, 2, 3, as face bitmasks
 HOLLOW_TRIANGLE = {0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110}
+# boundary of the 3-simplex on vertices 1..4: every face but the whole set
+TETRAHEDRON_BOUNDARY = set(range(0b1111))
 
 
 def random_complex(rng, d):
@@ -213,8 +218,9 @@ class TestHomologyFixtures:
                 truncated = {m for m in masks if m.bit_count() <= q + 2}
                 assert homology_dims_from_masks(truncated, 3, (q,)) == {}
         assert calls == []
-        # a complex with no cone point through degree 1 still needs ranks
-        assert homology_dims_from_masks(HOLLOW_TRIANGLE, 0, (1,)) == {1: 1}
+        # a complex with no cone point through degree 2 still needs ∂_2's
+        # matrix
+        assert homology_dims_from_masks(TETRAHEDRON_BOUNDARY, 0, (2,)) == {2: 1}
         assert calls
 
 
@@ -303,6 +309,79 @@ class TestHomologyAgainstOracle:
             chi_hom = sum(
                 (-1) ** q * prof.dim(q) for q in range(-1, d + 1))
             assert chi_faces == chi_hom
+
+
+class TestGraphRank:
+    def test_components_give_the_rank_of_the_incidence_matrix(self):
+        # rank ∂_1 = V - c over Q, F_2 and the largest accepted F_p
+        rng = np.random.default_rng(41)
+        seen = {"no edges": 0, "isolated": 0, "several": 0}
+        for _ in range(120):
+            nv = int(rng.integers(1, 21))
+            vertices = sorted(
+                1 << int(v) for v in rng.choice(20, size=nv, replace=False))
+            pairs = list(combinations(vertices, 2))
+            keep = rng.random(len(pairs)) < rng.choice([0.0, 0.05, 0.15, 0.5])
+            edges = sorted(u | v for (u, v), k in zip(pairs, keep) if k)
+            c = _component_count(vertices, edges)
+            mat = _boundary_matrix(vertices, edges)
+            for rank in (_kernels.rank_char0(mat), _kernels.gf_rank(mat, 2),
+                         _kernels.gf_rank(mat, 2**31 - 1)):
+                assert rank == nv - c, (vertices, edges)
+            touched = 0
+            for e in edges:
+                touched |= e
+            seen["no edges"] += not edges
+            seen["isolated"] += touched != sum(vertices)
+            seen["several"] += c > 1
+        assert min(seen.values()) >= 5, seen
+
+    def test_component_examples(self):
+        assert _component_count([1], []) == 1
+        assert _component_count([1, 2, 4, 8], []) == 4
+        assert _component_count([1, 2, 4, 8], [0b0011, 0b1100]) == 2
+        assert _component_count([1, 2, 4, 8], [0b0011, 0b0110, 0b1100]) == 1
+
+
+class TestWhereMatricesAreBuilt:
+    @pytest.fixture
+    def rank_calls(self, monkeypatch):
+        calls = []
+        real_rank = simplicial._matrix_rank
+
+        def counting_rank(mat, char):
+            calls.append(mat.shape)
+            return real_rank(mat, char)
+
+        monkeypatch.setattr(simplicial, "_matrix_rank", counting_rank)
+        return calls
+
+    def test_cycle_powers_build_no_matrix(self, rank_calls, monkeypatch):
+        # Δ(C_6) is the 6-cycle, a graph: every degree complex is at most
+        # 1-dimensional, so no homology needs a matrix, nor the cone test
+        # that only skips matrix work
+        cone_tests = []
+        real_cone = simplicial._has_cone_point
+
+        def counting_cone(*args):
+            cone_tests.append(args)
+            return real_cone(*args)
+
+        monkeypatch.setattr(simplicial, "_has_cone_point", counting_cone)
+        J = saturate_irrelevant(power(cycle_ideal(6), 4))
+        table = cohomology_table(J, 1)
+        entries = {(p.G, p.a_plus): dim for p, dim in table.entries.items()}
+        assert entries == oracles.cycle_table_oracle(6, 4, 1)
+        # I^s has a linear resolution for s >= 2 when I is the edge ideal
+        # of a cycle's complement (Banerjee 2015), so reg R/I^3 = 2*3 - 1
+        assert regularity(power(cycle_ideal(6), 3)) == 5
+        assert rank_calls == [] and cone_tests == []
+
+    @pytest.mark.parametrize("char,h1", [(0, 0), (2, 1)])
+    def test_projective_plane_still_builds_matrices(self, rank_calls, char, h1):
+        dims = reduced_homology_dims(from_facets(6, RP2_FACETS), char).dims
+        assert dims.get(1, 0) == h1
+        assert rank_calls
 
 
 class TestValidation:
