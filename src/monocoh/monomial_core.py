@@ -1,12 +1,17 @@
 """Monomial ideals in k[x1..xd], stored as exponent-vector data.
 
-A monomial is its exponent tuple; an ideal is the set of its minimal
-generators, kept divisibility-minimal and lexicographically sorted so that
-equal ideals are structurally equal. The zero ideal has no generators; the
-unit ideal's single generator is 1 (the all-zero exponent vector).
+A monomial is its exponent tuple. An ideal is held in one of two
+equivalent forms: its minimal generators, kept divisibility-minimal and
+lexicographically sorted so that equal ideals are structurally equal, or its
+upward-closed membership box of shape rho + 1 (``power`` and
+``saturate_irrelevant`` return that form). A box-backed ideal extracts its
+generators on first use and keeps them. The zero ideal has no generators;
+the unit ideal's single generator is 1 (the all-zero exponent vector).
 
 Values are immutable once constructed; all operations return fresh objects
-and are pure, so everything here is safe to share across threads.
+and are pure. The one lazy fill, a box-backed ideal's generators, is
+idempotent (every thread computes the same rows), so everything here is
+safe to share across threads.
 
 Variable indices in the public API are 1-based (x1..xd), matching the text
 grammar; column positions in exponent arrays are 0-based.
@@ -133,11 +138,21 @@ def _box_generators(box: np.ndarray) -> np.ndarray:
     return np.stack(np.unravel_index(flat, box.shape), axis=1).astype(np.int64)
 
 
-def _cropped_box(box: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """Read-only box of shape rho + 1, rho the column maxima of exps (the
-    minimal generators of the up-closed box)."""
-    crop = tuple(slice(0, int(r) + 1) for r in exps.max(axis=0))
-    box = np.ascontiguousarray(box[crop])
+def _cropped_box(box: np.ndarray) -> np.ndarray:
+    """An up-closed box cropped to shape rho + 1, contiguous and read-only.
+
+    Past rho_j the box is constant along axis j, so rho_j is the last index
+    whose slab differs from the one below it (0 when no two differ); the
+    slabs are compared from the top down until two differ.
+    """
+    crop = []
+    for j, n in enumerate(box.shape):
+        head = (slice(None),) * j
+        k = n - 1
+        while k and np.array_equal(box[head + (k,)], box[head + (k - 1,)]):
+            k -= 1
+        crop.append(slice(0, k + 1))
+    box = np.ascontiguousarray(box[tuple(crop)])
     box.setflags(write=False)
     return box
 
@@ -145,11 +160,13 @@ def _cropped_box(box: np.ndarray, exps: np.ndarray) -> np.ndarray:
 class MonomialIdeal:
     """A monomial ideal, canonically presented by its minimal generators.
 
-    The generator matrix is frozen after construction; equal ideals have
-    byte-identical matrices, so equality and hashing are structural.
+    The generator matrix is frozen once built; equal ideals have
+    byte-identical matrices, so equality and hashing are structural. An
+    ideal made by ``_from_box`` holds only its membership box and extracts
+    the matrix on first use.
     """
 
-    __slots__ = ("d", "_exps", "_box")
+    __slots__ = ("d", "_rows", "_box")
 
     def __init__(self, d: int, gens: Iterable = ()):
         if d < 1:
@@ -157,26 +174,42 @@ class MonomialIdeal:
         exps = _minimal_rows(_as_rows(d, gens))
         exps.setflags(write=False)
         object.__setattr__(self, "d", int(d))
-        object.__setattr__(self, "_exps", exps)
+        object.__setattr__(self, "_rows", exps)
         object.__setattr__(self, "_box", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialIdeal is immutable")
 
     @classmethod
-    def _from_minimal_rows(
-        cls, d: int, exps: np.ndarray, box: np.ndarray | None = None
-    ) -> "MonomialIdeal":
-        """Trusted constructor: rows already minimal and lex-sorted. ``box``,
-        when given, is the ideal's read-only membership box of shape
-        rho + 1, which ``membership_box`` then returns."""
+    def _from_minimal_rows(cls, d: int, exps: np.ndarray) -> "MonomialIdeal":
+        """Trusted constructor: rows already minimal and lex-sorted."""
         obj = object.__new__(cls)
         exps = np.ascontiguousarray(exps, dtype=np.int64)
         exps.setflags(write=False)
         object.__setattr__(obj, "d", int(d))
-        object.__setattr__(obj, "_exps", exps)
-        object.__setattr__(obj, "_box", box)
+        object.__setattr__(obj, "_rows", exps)
+        object.__setattr__(obj, "_box", None)
         return obj
+
+    @classmethod
+    def _from_box(cls, box: np.ndarray) -> "MonomialIdeal":
+        """Trusted constructor: the nonzero ideal of an up-closed 0/1 uint8
+        box, kept cropped to rho + 1; ``membership_box`` returns that array."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "d", box.ndim)
+        object.__setattr__(obj, "_rows", None)
+        object.__setattr__(obj, "_box", _cropped_box(box))
+        return obj
+
+    @property
+    def _exps(self) -> np.ndarray:
+        """The (num_gens, d) int64 minimal generators in lex order; a
+        box-backed ideal reads them off its box once and keeps them."""
+        if self._rows is None:
+            exps = _box_generators(self._box)
+            exps.setflags(write=False)
+            object.__setattr__(self, "_rows", exps)
+        return self._rows
 
     @property
     def gens(self) -> tuple[Monomial, ...]:
@@ -195,11 +228,15 @@ class MonomialIdeal:
 
     @property
     def is_zero(self) -> bool:
-        return self._exps.shape[0] == 0
+        if self._box is not None:
+            return not self._box.flat[-1]
+        return self._rows.shape[0] == 0
 
     @property
     def is_unit(self) -> bool:
-        return self._exps.shape[0] == 1 and not self._exps.any()
+        if self._box is not None:
+            return bool(self._box.flat[0])
+        return self._rows.shape[0] == 1 and not self._rows.any()
 
     def __eq__(self, other) -> bool:
         return (
@@ -354,10 +391,10 @@ def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
     sums are the k-fold sums' flat indices plus each generator's. A presence
     table over the box deduplicates them at every step, which bounds the
     work by the box, not by m^n. The n-fold sums are then closed upward
-    once and the minimal cells read off once; the result keeps the box,
-    cropped to its own rho + 1. A box over ``_BOX_CELL_CAP`` cells falls
-    back to multiplying by the generators n - 1 times, minimalizing each
-    product.
+    once, and the result is that box cropped to its own rho + 1, which can
+    lie below n*rho: no generator list is built (see ``MonomialIdeal``). A
+    box over ``_BOX_CELL_CAP`` cells falls back to multiplying by the
+    generators n - 1 times, minimalizing each product.
 
     Raises ValueError when an exponent of I^n would not fit in int64.
     """
@@ -392,8 +429,7 @@ def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
             flags[(sums[s : s + chunk, None] + step).ravel()] = True
     box = flags.view(np.uint8).reshape(shape)
     _kernels.upward_close(box)
-    exps = _box_generators(box)
-    return MonomialIdeal._from_minimal_rows(I.d, exps, _cropped_box(box, exps))
+    return MonomialIdeal._from_box(box)
 
 
 def _intersect_many(ideals: list[MonomialIdeal]) -> MonomialIdeal:
@@ -413,9 +449,10 @@ def saturate_irrelevant(I: MonomialIdeal) -> MonomialIdeal:
     along each variable direction separately, i.e. iff for every j the
     exponent b with b_j raised to rho_j is in I (no generator exceeds rho_j
     there). On the membership box that is an AND, over j, of the box's top
-    slice along axis j broadcast back over the axis. Boxes above the cell
-    cap intersect the d single-variable saturations ``project(I, {j})``
-    instead.
+    slice along axis j broadcast back over the axis, and the result is that
+    box cropped to its own rho + 1; no generator list is built. Boxes above
+    the cell cap intersect the d single-variable saturations
+    ``project(I, {j})`` instead.
     """
     if I.is_zero or I.is_unit:
         return I
@@ -425,8 +462,7 @@ def saturate_irrelevant(I: MonomialIdeal) -> MonomialIdeal:
     sat = np.ones_like(box)
     for j in range(I.d):
         sat &= box[(slice(None),) * j + (slice(-1, None),)]
-    exps = _box_generators(sat)
-    return MonomialIdeal._from_minimal_rows(I.d, exps, _cropped_box(sat, exps))
+    return MonomialIdeal._from_box(sat)
 
 
 def radical(I: MonomialIdeal) -> MonomialIdeal:
@@ -437,7 +473,10 @@ def radical(I: MonomialIdeal) -> MonomialIdeal:
 
 
 def var_degree_bounds(I: MonomialIdeal) -> VarDegreeBounds:
-    """Componentwise maxima rho of the minimal generator exponents."""
+    """Componentwise maxima rho of the minimal generator exponents; a
+    box-backed ideal reads them off its box's shape, rho + 1."""
+    if I._box is not None:
+        return VarDegreeBounds(rho=tuple(n - 1 for n in I._box.shape))
     if I.is_zero:
         return VarDegreeBounds(rho=(0,) * I.d)
     return VarDegreeBounds(rho=tuple(int(x) for x in I._exps.max(axis=0)))
@@ -445,9 +484,23 @@ def var_degree_bounds(I: MonomialIdeal) -> VarDegreeBounds:
 
 def _radical_face_flags(I: MonomialIdeal) -> np.ndarray:
     """Face indicator of the radical's complex over all 2^d bitmasks: F is a
-    face iff no generator's support lies inside F (bit j-1 is x_j)."""
+    face iff no generator's support lies inside F (bit j-1 is x_j).
+
+    A box-backed ideal reads the 2^d corners of its box instead: F is a face
+    iff the cell with rho on F and 0 elsewhere lies outside I, since a
+    generator divides that cell iff its support lies inside F.
+    """
     if I.d > MAX_VARIABLES:
         raise ValueError(f"face enumeration is capped at d <= {MAX_VARIABLES}")
+    if I._box is not None:
+        # flat index of every corner, doubling over the bits: setting bit j
+        # of F adds rho_j times axis j's stride
+        box = I._box
+        corners = np.zeros(1, dtype=np.int64)
+        for j, n in enumerate(box.shape):
+            step = (n - 1) * (box.strides[j] // box.itemsize)
+            corners = np.concatenate((corners, corners + step))
+        return box.reshape(-1)[corners] == 0
     bits = np.left_shift(1, np.arange(I.d, dtype=np.int64))
     supports = np.unique((I._exps > 0).astype(np.int64) @ bits)
     masks = np.arange(1 << I.d, dtype=np.int64)
@@ -475,9 +528,9 @@ def membership_box(I: MonomialIdeal) -> np.ndarray:
 
     Membership of arbitrary exponent vectors reduces to this box by clamping
     each coordinate at rho_j, since no generator exceeds rho_j there. An
-    ideal returned by ``power`` or ``saturate_irrelevant`` carries its box,
-    and this returns that very array; any other ideal's box is built on
-    every call and not kept.
+    ideal returned by ``power`` or ``saturate_irrelevant`` is held as its
+    box, and this returns that very array; any other ideal's box is built
+    on every call and not kept.
     """
     if I._box is not None:
         return I._box

@@ -7,9 +7,15 @@ ordinary complexes. The empty face is the unique (-1)-cell of reduced chain
 complexes, so the irrelevant complex has H~_{-1} of dimension 1 and the
 void complex has no homology in any degree.
 
-Homology dimensions are exact. The rank of ∂_1 (edges to vertices) is
-V - c, vertices minus connected components, over Q and over every F_p: ∂_1
-is the oriented incidence matrix of the graph, which is totally unimodular.
+Homology dimensions are exact, and one routine, ``_word_homology``,
+computes them all. It reads a complex as a face word: an int whose set bits
+pick faces from a frame, a list of candidate faces ordered by size. A
+cohomology table builds one frame and asks about many words; every other
+caller builds the frame of its one complex. The rank of ∂_1 (edges to
+vertices) is V - c, vertices minus connected components, over Q and over
+every F_p: ∂_1 is the oriented incidence matrix of the graph, which is
+totally unimodular. So a graph, or any word asked only about degrees up to
+0, is answered from the bit counts V and E and a walk over the edge bits.
 Boundary matrices are built only from ∂_2 up; their ranks over the
 rationals and over F_p come from one sparse elimination on unit pivots in
 Python integers (``±1`` over Q, any nonzero residue over F_p); over Q, rows
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -297,83 +303,113 @@ def _has_cone_point(
     return apex != 0
 
 
-def _component_count(vertices: list[int], edges: list[int]) -> int:
-    """Connected components of the graph with the given vertex and edge
-    masks, found by growing each component as a bitmask."""
-    adjacent: dict[int, int] = {}
-    for e in edges:
-        lo = e & -e
-        hi = e ^ lo
-        adjacent[lo] = adjacent.get(lo, 0) | hi
-        adjacent[hi] = adjacent.get(hi, 0) | lo
-    unseen = 0
-    for v in vertices:
-        unseen |= v
-    count = 0
-    while unseen:
-        component = frontier = unseen & -unseen
-        while frontier:
-            reached = 0
-            while frontier:
-                v = frontier & -frontier
-                reached |= adjacent.get(v, 0)
-                frontier ^= v
-            frontier = reached & ~component
-            component |= frontier
-        unseen &= ~component
-        count += 1
-    return count
+class _FaceFrame:
+    """A list of nonempty candidate faces, ordered by size, that face words
+    index: bit k of a word stands for ``faces[k]``, and the empty face,
+    present in every nonvoid complex, has no bit.
+
+    The order by size makes the vertices bits ``[0, nv)`` and the edges bits
+    ``[nv, graph_end)``; ``ends[k]`` holds the two vertex bits of edge bit
+    ``nv + k``. One frame serves every word over the same list.
+    """
+
+    __slots__ = ("faces", "nv", "graph_end", "ends")
+
+    def __init__(self, faces: list[int]):
+        nv = 0
+        while nv < len(faces) and faces[nv].bit_count() == 1:
+            nv += 1
+        graph_end = nv
+        while graph_end < len(faces) and faces[graph_end].bit_count() == 2:
+            graph_end += 1
+        bit_of = {f: k for k, f in enumerate(faces[:nv])}
+        self.faces = faces
+        self.nv = nv
+        self.graph_end = graph_end
+        self.ends = [
+            (bit_of[e & -e], bit_of[e & (e - 1)]) for e in faces[nv:graph_end]
+        ]
 
 
-def _reduced_homology(
-    face_masks: Iterable[int], degrees: Iterable[int] | None, char: int
+def _forest_size(edges: int, ends: list[tuple[int, int]]) -> int:
+    """Edges in a spanning forest of the graph whose edges are the set bits
+    of ``edges`` (bit k joins the vertices ``ends[k]``): vertices minus
+    connected components, found by union-find over the vertex bits."""
+    root: dict[int, int] = {}
+    size = 0
+    while edges:
+        low = edges & -edges
+        u, v = ends[low.bit_length() - 1]
+        while u in root:
+            u = root[u]
+        while v in root:
+            v = root[v]
+        if u != v:
+            root[u] = v
+            size += 1
+        edges ^= low
+    return size
+
+
+def _word_homology(
+    word: int, frame: _FaceFrame, qs: Sequence[int], char: int
 ) -> dict[int, int]:
-    """Nonzero dims of H~_q for q in ``degrees`` (every degree when None).
+    """Nonzero dims of H~_q, for q in the ascending nonempty ``qs``, of the
+    complex whose faces are the empty face and ``frame.faces[k]`` for every
+    set bit k of ``word``.
 
-    Only the boundary ranks around the requested degrees are computed, each
-    once, so adjacent degrees share the rank between them. A rank whose
-    source or target has no cells is 0. The augmentation (vertices to the
-    empty face) has rank 1 whenever there is a vertex. ∂_1 (edges to
-    vertices) gives edge {u < v} the column e_v - e_u: it is the oriented
-    incidence matrix of the graph, which is totally unimodular, so its rank
-    over Q and over every F_p is V - c, with c the number of connected
-    components. No matrix is built below ∂_2.
+    With n_q the number of q-cells (n_{-1} = 1, the empty face) and r_q the
+    rank of ∂_q from the q-cells to the (q-1)-cells, dim H~_q = n_q - r_q -
+    r_{q+1}; a rank whose source has no cells is 0. The augmentation has
+    rank r_0 = [V > 0]. ∂_1 gives edge {u < v} the column e_v - e_u: it is
+    the oriented incidence matrix of the graph, which is totally unimodular,
+    so its rank over Q and over every F_p is V - c, with c the number of
+    connected components. A word with no bit above the edge range, or asked
+    only about q <= 0, needs nothing more: H~_{-1} = [V = 0], H~_0 =
+    c - [V > 0] and H~_1 = E - V + c. Only the other words expand into face
+    lists, and their boundary matrices are built from ∂_2 up, each once, so
+    adjacent degrees share the rank between them.
 
     Cone rule, tried only when some ∂_q with q >= 2 still needs a matrix:
-    with q_max the largest requested degree, if some vertex v has F | v a
-    face for every face F with |F| <= q_max + 1, then c(F) = [v, F]
-    satisfies ∂c + c∂ = id on the augmented chains through degree q_max, so
-    every requested H~_q vanishes and no boundary matrix is built. Only
-    faces up to that size are asked about, so the rule holds for a face set
-    truncated above |F| = q_max + 2 (a hollow triangle is coned through
+    with q_max the largest requested degree that has cells, if some vertex v
+    has F | v a face for every face F with |F| <= q_max + 1, then c(F) =
+    [v, F] satisfies ∂c + c∂ = id on the augmented chains through degree
+    q_max, so every requested H~_q vanishes and no boundary matrix is built.
+    Only faces up to that size are asked about, so the rule holds for a face
+    set truncated above |F| = q_max + 2 (a hollow triangle is coned through
     degree 0 but not degree 1).
     """
-    faces = set(int(m) for m in face_masks)
-    if not faces:
-        return {}
-    if 0 not in faces:
-        raise ValueError("a nonvoid face set must contain the empty face")
-    by_dim: dict[int, list[int]] = {}
-    for m in sorted(faces):
-        by_dim.setdefault(m.bit_count() - 1, []).append(m)
-    wanted = sorted(by_dim if degrees is None else by_dim.keys() & set(degrees))
-    if not wanted:
-        return {}
-    # ranks[q]: rank of the boundary map from the q-cells to the (q-1)-cells;
-    # a missing q has no q-cells, or is ∂_{-1}, and its rank is 0
-    ranks: dict[int, int] = {0: 1 if 0 in by_dim else 0}
-    if 1 in by_dim and (0 in wanted or 1 in wanted):
-        ranks[1] = len(by_dim[0]) - _component_count(by_dim[0], by_dim[1])
-    matrices = sorted(
-        {r for q in wanted for r in (q, q + 1) if r >= 2 and r in by_dim}
-    )
-    if matrices and _has_cone_point(by_dim, faces, wanted[-1] + 1):
-        return {}
-    for q in matrices:
-        ranks[q] = _matrix_rank(_boundary_matrix(by_dim[q - 1], by_dim[q]), char)
+    nv, graph_end = frame.nv, frame.graph_end
+    vertices = word & ((1 << nv) - 1)
+    edges = (word >> nv) & ((1 << (graph_end - nv)) - 1)
+    cells = {-1: 1, 0: vertices.bit_count(), 1: edges.bit_count()}
+    ranks = {0: 1 if vertices else 0}
+    if edges and (0 in qs or 1 in qs):
+        ranks[1] = _forest_size(edges, frame.ends)
+    if word >> graph_end and qs[-1] >= 1:
+        by_dim: dict[int, list[int]] = {-1: [0]}
+        rest = word
+        while rest:
+            low = rest & -rest
+            f = frame.faces[low.bit_length() - 1]
+            by_dim.setdefault(f.bit_count() - 1, []).append(f)
+            rest ^= low
+        for q, faces in by_dim.items():
+            if q >= 2:
+                cells[q] = len(faces)
+        matrices = sorted(
+            {r for q in qs for r in (q, q + 1) if r >= 2 and r in by_dim}
+        )
+        if matrices:
+            q_max = max(q for q in qs if q in by_dim)
+            present = {f for faces in by_dim.values() for f in faces}
+            if _has_cone_point(by_dim, present, q_max + 1):
+                return {}
+        for q in matrices:
+            ranks[q] = _matrix_rank(_boundary_matrix(by_dim[q - 1], by_dim[q]), char)
     dims: dict[int, int] = {}
-    for q in wanted:
-        val = len(by_dim[q]) - ranks.get(q, 0) - ranks.get(q + 1, 0)
+    for q in qs:
+        val = cells.get(q, 0) - ranks.get(q, 0) - ranks.get(q + 1, 0)
         if val:
             dims[q] = val
     return dims
@@ -387,16 +423,30 @@ def homology_dims_from_masks(
 
     The face set must be downward closed and include mask 0 (the empty face)
     unless it is empty, in which case the complex is void and everything
-    vanishes.
+    vanishes. The faces become one frame and the complex its full word, for
+    ``_word_homology``.
     """
-    return _reduced_homology(face_masks, degrees, char)
+    faces = {int(m) for m in face_masks}
+    if not faces:
+        return {}
+    if 0 not in faces:
+        raise ValueError("a nonvoid face set must contain the empty face")
+    faces.discard(0)
+    frame = _FaceFrame(sorted(faces, key=lambda m: (m.bit_count(), m)))
+    if degrees is None:
+        qs = list(range(-1, frame.faces[-1].bit_count() if frame.faces else 0))
+    else:
+        qs = sorted({int(q) for q in degrees})
+    if not qs:
+        return {}
+    return _word_homology((1 << len(frame.faces)) - 1, frame, qs, char)
 
 
 def homology_dim_single(face_masks: Iterable[int], q: int, char: int) -> int:
     """dim H~_q of the complex with the given downward-closed face set, from
     the two boundary ranks around q; 0 without a boundary matrix when the
     faces through dimension q are coned."""
-    return _reduced_homology(face_masks, (q,), char).get(q, 0)
+    return homology_dims_from_masks(face_masks, char, (q,)).get(q, 0)
 
 
 def reduced_homology_dims(K: SimplicialComplex, char: int) -> HomologyProfile:

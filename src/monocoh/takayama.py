@@ -47,10 +47,11 @@ from .monomial_core import (
 from .simplicial import (
     SimplicialComplex,
     _antichain_max,
+    _FaceFrame,
     _validate_char,
     _validate_d,
+    _word_homology,
     homology_dim_single,
-    homology_dims_from_masks,
 )
 
 DEFAULT_PATTERN_CAP = 10_000_000
@@ -404,10 +405,13 @@ def cohomology_tables(
     once: through a presence table when they are single words, many and
     dense (the usual case for powers), else by ``np.unique``'s sort. Each
     distinct complex yields H~_q for every requested q at its |G|, filed
-    under i = q + |G| + 1. Only the cells with a nonzero dimension are
-    decoded, from their flat index, into (G, a⁺) rows, and a stable sort on
-    (|G|, G) leaves them in the order (|G|, G, a⁺) of ``sorted_rows``: C order
-    already sorts a⁺ within one G.
+    under i = q + |G| + 1. The candidate faces are ordered by size, so the
+    vertices and edges are two bit ranges of the key, and one
+    ``_FaceFrame`` over them lets ``_word_homology`` read every distinct
+    face word: a graph needs no face list. Only the cells with a nonzero
+    dimension are decoded, from their flat index, into (G, a⁺) rows, and a
+    stable sort on (|G|, G) leaves them in the order (|G|, G, a⁺) of
+    ``sorted_rows``: C order already sorts a⁺ within one G.
 
     Raises ResourceCapError, naming the first i over ``pattern_cap``, before
     anything is scanned.
@@ -431,17 +435,21 @@ def cohomology_tables(
     box = membership_box(I)
     top = i_list[-1] + 1
     absent = sum(1 << j for j in range(d) if not rho[j])
-    faces = [
-        f
-        for f in np.flatnonzero(_radical_face_flags(I)).tolist()
-        if f and not f & absent and f.bit_count() <= top
-    ]
+    faces = sorted(
+        (
+            f
+            for f in np.flatnonzero(_radical_face_flags(I)).tolist()
+            if f and not f & absent and f.bit_count() <= top
+        ),
+        key=int.bit_count,
+    )
     keys = _kernels.scan_face_masks(
         box, [tuple(j for j in range(d) if f >> j & 1) for f in faces], top - 1
     )
     outside = np.flatnonzero(box.reshape(-1) == 0)
     rows, inverse = _unique_rows(keys[outside])
     nf = len(faces)
+    frame = _FaceFrame(faces)
     k_of_i = {i: k for k, i in enumerate(i_list)}
     dims_u = np.zeros((len(i_list), rows.shape[0]), dtype=np.int64)
     for u, row in enumerate(rows.tolist()):
@@ -449,15 +457,9 @@ def cohomology_tables(
         g_size = key >> nf
         if g_size == top:
             continue
-        # the complex's faces, one per set bit of the face word
-        present = [0]
-        word = key & ((1 << nf) - 1)
-        while word:
-            low = word & -word
-            present.append(faces[low.bit_length() - 1])
-            word ^= low
         qs = [i - g_size - 1 for i in i_list if i >= g_size]
-        for q, dim in homology_dims_from_masks(present, char, qs).items():
+        word = key & ((1 << nf) - 1)
+        for q, dim in _word_homology(word, frame, qs, char).items():
             dims_u[k_of_i[q + g_size + 1], u] = dim
     hits = np.flatnonzero(dims_u.any(axis=0)[inverse])
     cells, row_of = outside[hits], inverse[hits]

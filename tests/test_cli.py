@@ -2,6 +2,9 @@
 
 import gc
 import json
+import random
+import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -422,3 +425,104 @@ class TestDeterminism:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "1\n2\n"
+
+
+def random_argv(rng: random.Random) -> list[str]:
+    """One command line from a small grammar: each value is drawn valid most
+    of the time and odd otherwise (out of range, malformed, at or past the
+    int64 limit). Every power range is bounded (at most 1..3), so no draw
+    asks for unbounded work."""
+
+    def draw(valid, odd, p_odd=0.1):
+        return rng.choice(odd if rng.random() < p_odd else valid)
+
+    command = draw(["delta", "cohomology", "indeg", "dichotomy", "reg"],
+                   ["nope", ""], 0.03)
+    argv = [command]
+    ideal = draw(
+        ["x1*x2, x2*x3", "x1*x3, x2*x4", "x1*x2*x3*x4", "x1^3*x2, x2^2*x3",
+         "x1^2*x2*x3, x1*x2^2, x1*x3^2", "x1, x2^2", "x1^2, x2^2, x3, x1*x2",
+         "0", "1", "x1*x2, x3^2*x4, x1*x4"],
+        ["", ",", "x0", "x1^0", "x1 x2", "x1*", "x5", "x1^9223372036854775807",
+         "x1^9223372036854775808", "x1^4611686018427387904*x2",
+         "x1^1000000000, x2"], 0.2)
+    if rng.random() < 0.3:
+        # a random ideal in four variables, exponents at most 3
+        ideal = ", ".join(
+            "*".join(f"x{j}^{rng.randint(1, 3)}"
+                     for j in rng.sample(range(1, 5), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 4)))
+    if rng.random() < 0.97:
+        argv += ["--ideal", ideal]
+    if rng.random() < 0.97:
+        argv += ["--d", draw(["4"], ["-1", "0", "1", "2", "20", "21", "x"])]
+    if command in ("cohomology", "indeg", "dichotomy") or rng.random() < 0.05:
+        i_values = ["0", "1", "2", "3"] + (["all"] if command == "cohomology" else [])
+        argv += ["--i", draw(i_values, ["-1", "5", "x", "all"])]
+    if rng.random() < 0.4:
+        argv += ["--char", draw(["0", "2", "3", "32003", "2147483647"],
+                                ["4", "-1", "1", "2147483659", "q"])]
+    if rng.random() < 0.6:
+        argv += ["--powers", draw(["1..1", "1..2", "1..3", "2..3", "2..2"],
+                                  ["0..2", "3..1", "1..x", "5"])]
+    if rng.random() < 0.3:
+        argv += ["--pattern-cap", draw(["1", "10", "100", "400", "100000"],
+                                       ["0", "-5", "z"], 0.2)]
+    if command == "cohomology" and rng.random() < 0.2:
+        argv += ["--at", draw(["(-1,0,2,0)", "(0,0,0,0)", "(-3,-3,-3,-3)",
+                               "(1,-1,0,2)"], ["(1,-1)", "()", "(x)", "1,2"])]
+    if rng.random() < 0.3:
+        argv.append("--saturated")
+    if rng.random() < 0.6:
+        argv += ["--format", draw(["text", "json", "csv"], ["xml"], 0.05)]
+    return argv
+
+
+class _Hang(Exception):
+    pass
+
+
+class TestSeededFuzz:
+    """Every accepted input gets an answer or a documented exit status."""
+
+    CALLS = 300
+    ALARM_S = 5
+    # the last stderr line of a failed command: ``error: ...`` from the
+    # package, or ``monocoh <command>: error: ...`` from argparse
+    ERROR_LINE = re.compile(r"(monocoh( \w+)?: )?error: ")
+
+    # dichotomy warns when no drawn power has finite length
+    @pytest.mark.filterwarnings("ignore:no power in the computed range")
+    def test_exit_codes_and_streams(self, capsys):
+        rng = random.Random(20261019)
+
+        def hang(signum, frame):
+            raise _Hang
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        codes = []
+        try:
+            for _ in range(self.CALLS):
+                argv = random_argv(rng)
+                signal.alarm(self.ALARM_S)
+                try:
+                    code = cli.main(argv)
+                except _Hang:
+                    pytest.fail(f"no exit within {self.ALARM_S} s: {argv}")
+                finally:
+                    signal.alarm(0)
+                out, err = capsys.readouterr()
+                codes.append(code)
+                assert code in (0, 2, 3, 4), (argv, code, err)
+                if code == 2:
+                    assert out == "", argv
+                if code:
+                    last = err.rstrip("\n").rsplit("\n", 1)[-1]
+                    assert self.ERROR_LINE.match(last), (argv, err)
+                if code == 3:
+                    assert "exceeds the cap" in last, (argv, err)
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        # the grammar reaches success, usage errors and the cap
+        assert {0, 2, 3} <= set(codes), sorted(set(codes))
+        assert codes.count(0) >= 100, codes.count(0)

@@ -285,6 +285,58 @@ class TestPowerBox:
         takayama.cohomology_table(S, 1)
         assert closed == [(5,) * 6]
 
+    def test_box_backed_ideals_agree_with_generator_backed(self):
+        ideals = corpus(20261019, 40, (2, 3, 4, 5)) + [
+            # rho(I^2) = (3, 3, 2) < 2 * rho(I): x1^4*x2^2*x3^2 is a multiple
+            # of (x1*x2^2)(x1*x3^2), so the power's box is cropped
+            parse_ideal("x1^2*x2*x3, x1*x2^2, x1*x3^2", 3),
+            # m-primary powers saturate to the unit ideal
+            parse_ideal("x1, x2^2", 2),
+            parse_ideal("x1^2, x2^2, x3, x1*x2", 3),
+        ]
+        cropped = units = 0
+        for I in ideals:
+            for n in (2, 3):
+                P = power(I, n)
+                ref_P = MonomialIdeal(I.d, sorted(oracles.brute_power(I, n)))
+                S = saturate_irrelevant(P)
+                ref_S = oracles.saturate_by_colon_fixpoint(ref_P)
+                rho_I = var_degree_bounds(I).rho
+                cropped += var_degree_bounds(ref_P).rho != tuple(
+                    n * r for r in rho_I)
+                units += ref_S.is_unit
+                for J, ref in ((P, ref_P), (S, ref_S)):
+                    rho = var_degree_bounds(ref).rho
+                    assert var_degree_bounds(J).rho == rho
+                    assert membership_box(J).shape == tuple(r + 1 for r in rho)
+                    assert np.array_equal(membership_box(J), membership_box(ref))
+                    assert (J.is_unit, J.is_zero) == (ref.is_unit, ref.is_zero)
+                    assert np.array_equal(
+                        monomial_core._radical_face_flags(J),
+                        monomial_core._radical_face_flags(ref))
+                    if not ref.is_unit:
+                        assert krull_dimension(J) == krull_dimension(ref)
+                    # none of the reads above extracts generators
+                    assert J._rows is None
+                    assert J.num_gens == ref.num_gens and J.gens == ref.gens
+                    assert J == ref and hash(J) == hash(ref)
+                    assert J.generators_str() == ref.generators_str()
+        assert cropped >= 3 and units >= 4, (cropped, units)
+
+    def test_power_saturate_table_read_no_generators(self, monkeypatch):
+        # the box is the ideal from power to table: no generator extraction
+        I = cycle_ideal(7)
+        extracted = []
+        box_generators = monomial_core._box_generators
+
+        def counting(box):
+            extracted.append(box.shape)
+            return box_generators(box)
+
+        monkeypatch.setattr(monomial_core, "_box_generators", counting)
+        table = takayama.cohomology_table(saturate_irrelevant(power(I, 4)), 1)
+        assert table.dims.size and extracted == []
+
     def test_cycle_c7_power_8_on_the_box_route(self, monkeypatch):
         # 9^7 = 4.78M cells: one box, no pairwise minimalization or lcms
         def refuse(*args):

@@ -1,19 +1,22 @@
 """Complexes, the squarefree correspondence, and the homology engine."""
 
+import hashlib
+import json
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from monocoh import _kernels, simplicial
+from monocoh import _kernels, simplicial, takayama
 from monocoh.monomial_core import parse_ideal, power, saturate_irrelevant
 from monocoh.simplicial import (
     MAX_CHAR,
     SimplicialComplex,
     _boundary_matrix,
-    _component_count,
-    _reduced_homology,
+    _FaceFrame,
+    _forest_size,
     _validate_char,
+    _word_homology,
     from_facets,
     homology_dim_single,
     homology_dims_from_masks,
@@ -252,11 +255,9 @@ class TestHomologyAgainstOracle:
                 degs = [int(q) for q in rng.choice(
                     np.arange(-2, d + 1), size=k, replace=False)]
                 expected = {q: want[q] for q in degs if want.get(q)}
-                assert _reduced_homology(K.face_masks(), degs, char) == expected
                 assert homology_dims_from_masks(
                     K.face_masks(), char, degs) == expected
             everything = {q: v for q, v in want.items() if v}
-            assert _reduced_homology(K.face_masks(), None, char) == everything
             assert homology_dims_from_masks(K.face_masks(), char) == everything
 
     @pytest.mark.parametrize("char", [0, 2, 3])
@@ -294,7 +295,7 @@ class TestHomologyAgainstOracle:
         assert homology_dims_from_masks(HOLLOW_TRIANGLE, 0, (-1, 0)) == {}
 
     def test_empty_face_required(self):
-        assert _reduced_homology(set(), (0, 1), 0) == {}
+        assert homology_dims_from_masks(set(), 0, (0, 1)) == {}
         with pytest.raises(ValueError, match="empty face"):
             homology_dims_from_masks({1, 2}, 0, (0,))
 
@@ -311,6 +312,14 @@ class TestHomologyAgainstOracle:
             assert chi_faces == chi_hom
 
 
+def component_count(vertices, edges):
+    """Connected components of a graph given by vertex and edge masks, read
+    through a face frame of its faces ordered by size."""
+    frame = _FaceFrame(sorted(vertices) + sorted(edges))
+    edge_bits = (1 << len(edges)) - 1
+    return len(vertices) - _forest_size(edge_bits, frame.ends)
+
+
 class TestGraphRank:
     def test_components_give_the_rank_of_the_incidence_matrix(self):
         # rank ∂_1 = V - c over Q, F_2 and the largest accepted F_p
@@ -323,7 +332,7 @@ class TestGraphRank:
             pairs = list(combinations(vertices, 2))
             keep = rng.random(len(pairs)) < rng.choice([0.0, 0.05, 0.15, 0.5])
             edges = sorted(u | v for (u, v), k in zip(pairs, keep) if k)
-            c = _component_count(vertices, edges)
+            c = component_count(vertices, edges)
             mat = _boundary_matrix(vertices, edges)
             for rank in (_kernels.rank_char0(mat), _kernels.gf_rank(mat, 2),
                          _kernels.gf_rank(mat, 2**31 - 1)):
@@ -337,10 +346,83 @@ class TestGraphRank:
         assert min(seen.values()) >= 5, seen
 
     def test_component_examples(self):
-        assert _component_count([1], []) == 1
-        assert _component_count([1, 2, 4, 8], []) == 4
-        assert _component_count([1, 2, 4, 8], [0b0011, 0b1100]) == 2
-        assert _component_count([1, 2, 4, 8], [0b0011, 0b0110, 0b1100]) == 1
+        assert component_count([1], []) == 1
+        assert component_count([1, 2, 4, 8], []) == 4
+        assert component_count([1, 2, 4, 8], [0b0011, 0b1100]) == 2
+        assert component_count([1, 2, 4, 8], [0b0011, 0b0110, 0b1100]) == 1
+
+
+def face_set_cases():
+    """(d, face masks) of {∅}, isolated vertices, a filled triangle, a
+    filled triangle beside a vertex, then seeded random downward-closed face
+    sets on at most six vertices."""
+    cases = [(1, {0}), (3, {0, 1, 2, 4}), (3, set(range(8))),
+             (4, set(range(8)) | {8})]
+    rng = np.random.default_rng(53)
+    for _ in range(24):
+        d = int(rng.integers(2, 7))
+        faces = set()
+        for _ in range(int(rng.integers(1, 6))):
+            size = int(rng.integers(1, d + 1))
+            facet = sum(1 << int(v) for v in rng.choice(d, size=size, replace=False))
+            sub = facet
+            while True:
+                faces.add(sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & facet
+        cases.append((d, faces))
+    return cases
+
+
+# sha256 of the results of the routine this one replaced (which built a face
+# set, a by-dimension dict and an adjacency dict per complex), over
+# ``face_set_cases`` x (Q, F_2, F_32003) x every subset of the degrees
+# -1..d-1, the empty one included; 2,556 results
+FACE_SET_RESULTS_SHA256 = (
+    "c2d9d0e736ec368240759f1a05f2279f118dd0c7232d0fcc1308e7af2d764c76"
+)
+
+
+class TestFaceWords:
+    """``_word_homology`` reads a complex as a word over a frame of faces."""
+
+    def test_words_against_oracle_and_stored_results(self):
+        results = []
+        for d, faces in face_set_cases():
+            oracle_faces = {
+                frozenset(v for v in range(d) if m >> v & 1) for m in faces}
+            # a frame of every nonempty subset of [d], so the complex's bits
+            # are scattered over it, as a table's keys are
+            frame = _FaceFrame(sorted(range(1, 1 << d), key=int.bit_count))
+            word = sum(1 << k for k, f in enumerate(frame.faces) if f in faces)
+            for char in (0, 2, 32003):
+                want = {q: oracles.reduced_homology_oracle(oracle_faces, q, char)
+                        for q in range(-1, d)}
+                for k in range(d + 2):
+                    for degs in combinations(range(-1, d), k):
+                        got = homology_dims_from_masks(faces, char, degs)
+                        assert got == {q: want[q] for q in degs if want[q]}
+                        if degs:
+                            assert _word_homology(word, frame, degs, char) == got
+                        results.append(sorted(got.items()))
+        digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+        assert len(results) == 2556 and digest == FACE_SET_RESULTS_SHA256
+
+    def test_low_degrees_of_a_filled_triangle_build_no_face_list(
+            self, monkeypatch):
+        # asked only about q <= 0, a word with a triangle is read from V, E
+        # and c: no boundary matrix and no cone test
+        def refuse(*args):
+            raise AssertionError("face list expanded")
+
+        monkeypatch.setattr(simplicial, "_has_cone_point", refuse)
+        monkeypatch.setattr(simplicial, "_boundary_matrix", refuse)
+        for faces, dims in ((set(range(8)), {}),
+                            (set(range(8)) | {8}, {0: 1})):
+            for degs in ((-1,), (0,), (-1, 0)):
+                want = {q: v for q, v in dims.items() if q in degs}
+                assert homology_dims_from_masks(faces, 0, degs) == want
 
 
 class TestWhereMatricesAreBuilt:
@@ -376,6 +458,28 @@ class TestWhereMatricesAreBuilt:
         # of a cycle's complement (Banerjee 2015), so reg R/I^3 = 2*3 - 1
         assert regularity(power(cycle_ideal(6), 3)) == 5
         assert rank_calls == [] and cone_tests == []
+
+    def test_cycle_tables_read_only_graph_words(self, rank_calls, monkeypatch):
+        # Δ(C_d) is the d-cycle, so every key of a C_d table is a graph word
+        # (no bit above the edge range), answered without a face list
+        def refuse(*args):
+            raise AssertionError("face list expanded")
+
+        words = []
+        word_homology = takayama._word_homology
+
+        def recording(word, frame, qs, char):
+            words.append(word >> frame.graph_end)
+            return word_homology(word, frame, qs, char)
+
+        monkeypatch.setattr(takayama, "_word_homology", recording)
+        monkeypatch.setattr(simplicial, "_has_cone_point", refuse)
+        monkeypatch.setattr(simplicial, "_boundary_matrix", refuse)
+        for d, n in ((5, 3), (6, 2), (7, 4)):
+            J = saturate_irrelevant(power(cycle_ideal(d), n))
+            takayama.cohomology_tables(J, range(3))
+        assert words and not any(words)
+        assert rank_calls == []
 
     @pytest.mark.parametrize("char,h1", [(0, 0), (2, 1)])
     def test_projective_plane_still_builds_matrices(self, rank_calls, char, h1):
