@@ -19,6 +19,7 @@ grammar; column positions in exponent arrays are 0-based.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -39,7 +40,8 @@ _SUM_CHUNK = 1 << 20
 
 _INT64_MAX = np.iinfo(np.int64).max
 
-# Face enumeration (radical complexes, Krull dimension) works on bitmasks.
+# Face enumeration (radical complexes, Krull dimension) works on the 2^d
+# cells of a {0,1}^d box.
 MAX_VARIABLES = 20
 
 
@@ -118,12 +120,18 @@ def _minimal_rows(exps: np.ndarray) -> np.ndarray:
         return exps
     maxs = exps.max(axis=0)
     if _box_cells(maxs) <= min(m * m, _BOX_CELL_CAP):
-        box = np.zeros(tuple(maxs + 1), dtype=np.uint8)
-        box[tuple(exps.T)] = 1
-        _kernels.upward_close(box)
-        return _box_generators(box)
+        return _box_generators(_closed_box(exps, tuple(maxs + 1)))
     exps = np.unique(exps, axis=0)
     return exps[_kernels.pairwise_minimal(exps)]
+
+
+def _closed_box(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The 0/1 uint8 box of the given shape that is 1 exactly on the cells
+    at or above some row (each row an integer cell index)."""
+    box = np.zeros(shape, dtype=np.uint8)
+    box[tuple(rows.T)] = 1
+    _kernels.upward_close(box)
+    return box
 
 
 def _box_cells(maxs) -> int:
@@ -179,17 +187,6 @@ class MonomialIdeal:
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialIdeal is immutable")
-
-    @classmethod
-    def _from_minimal_rows(cls, d: int, exps: np.ndarray) -> "MonomialIdeal":
-        """Trusted constructor: rows already minimal and lex-sorted."""
-        obj = object.__new__(cls)
-        exps = np.ascontiguousarray(exps, dtype=np.int64)
-        exps.setflags(write=False)
-        object.__setattr__(obj, "d", int(d))
-        object.__setattr__(obj, "_rows", exps)
-        object.__setattr__(obj, "_box", None)
-        return obj
 
     @classmethod
     def _from_box(cls, box: np.ndarray) -> "MonomialIdeal":
@@ -439,7 +436,7 @@ def _intersect_many(ideals: list[MonomialIdeal]) -> MonomialIdeal:
     for J in ideals[1:]:
         cand = np.maximum(cur[:, None, :], J._exps[None, :, :]).reshape(-1, d)
         cur = _minimal_rows(cand)
-    return MonomialIdeal._from_minimal_rows(d, cur)
+    return MonomialIdeal(d, cur)
 
 
 def saturate_irrelevant(I: MonomialIdeal) -> MonomialIdeal:
@@ -483,31 +480,35 @@ def var_degree_bounds(I: MonomialIdeal) -> VarDegreeBounds:
 
 
 def _radical_face_flags(I: MonomialIdeal) -> np.ndarray:
-    """Face indicator of the radical's complex over all 2^d bitmasks: F is a
-    face iff no generator's support lies inside F (bit j-1 is x_j).
+    """Face indicator of Δ(√I) over all 2^d bitmasks: the mask F (bit j-1
+    for x_j) is a face iff no generator's support lies inside F.
 
-    A box-backed ideal reads the 2^d corners of its box instead: F is a face
-    iff the cell with rho on F and 0 elsewhere lies outside I, since a
-    generator divides that cell iff its support lies inside F.
+    F is the cell c of the (2,)*d corner box with c_j = 1 iff bit j of F is
+    set, and the box is 1 at c iff x^(rho*c) lies in I. A box-backed ideal
+    reads it as a strided view of its box (indices 0 and rho_j on each
+    axis), broadcast over the axes with rho_j = 0; any other ideal closes
+    its generators' supports upward. Reversing the axes and flattening in C
+    order makes a cell's flat index its mask.
     """
     if I.d > MAX_VARIABLES:
         raise ValueError(f"face enumeration is capped at d <= {MAX_VARIABLES}")
     if I._box is not None:
-        # flat index of every corner, doubling over the bits: setting bit j
-        # of F adds rho_j times axis j's stride
-        box = I._box
-        corners = np.zeros(1, dtype=np.int64)
-        for j, n in enumerate(box.shape):
-            step = (n - 1) * (box.strides[j] // box.itemsize)
-            corners = np.concatenate((corners, corners + step))
-        return box.reshape(-1)[corners] == 0
-    bits = np.left_shift(1, np.arange(I.d, dtype=np.int64))
-    supports = np.unique((I._exps > 0).astype(np.int64) @ bits)
-    masks = np.arange(1 << I.d, dtype=np.int64)
-    nonface = np.zeros(masks.shape, dtype=bool)
-    for s in supports:
-        nonface |= (masks & s) == s
-    return ~nonface
+        step = tuple(slice(None, None, max(n - 1, 1)) for n in I._box.shape)
+        corners = np.broadcast_to(I._box[step], (2,) * I.d)
+    else:
+        corners = _closed_box((I._exps > 0).astype(np.int64), (2,) * I.d)
+    return corners.T.reshape(-1) == 0
+
+
+@functools.cache
+def _mask_sizes(d: int) -> np.ndarray:
+    """Read-only int8 bit counts of the masks 0 .. 2^d - 1, by doubling:
+    setting bit k adds one to the count."""
+    sizes = np.zeros(1, dtype=np.int8)
+    for _ in range(d):
+        sizes = np.concatenate((sizes, sizes + 1))
+    sizes.setflags(write=False)
+    return sizes
 
 
 def krull_dimension(I: MonomialIdeal) -> int:
@@ -515,30 +516,23 @@ def krull_dimension(I: MonomialIdeal) -> int:
     generator of the radical (the largest face of the radical's complex)."""
     if I.is_unit:
         raise UnitIdealError("R/I is the zero ring; its dimension is undefined")
-    faces = np.flatnonzero(_radical_face_flags(I))
-    sizes = np.zeros(faces.shape, dtype=np.int64)
-    for k in range(I.d):
-        sizes += (faces >> k) & 1
-    return int(sizes.max())
+    faces = _radical_face_flags(I)
+    return int(_mask_sizes(I.d)[faces].max())
 
 
 def membership_box(I: MonomialIdeal) -> np.ndarray:
     """Read-only up-closed 0/1 uint8 box of shape rho+1: box[b] == 1 iff
-    x^b in I.
+    x^b in I; axis j-1 carries the exponent of x_j.
 
     Membership of arbitrary exponent vectors reduces to this box by clamping
     each coordinate at rho_j, since no generator exceeds rho_j there. An
     ideal returned by ``power`` or ``saturate_irrelevant`` is held as its
-    box, and this returns that very array; any other ideal's box is built
-    on every call and not kept.
+    box, and this returns that very array; any other ideal's box is closed
+    from its generators on every call and not kept.
     """
     if I._box is not None:
         return I._box
-    rho = np.asarray(var_degree_bounds(I).rho, dtype=np.int64)
-    box = np.zeros(tuple(rho + 1), dtype=np.uint8)
-    if not I.is_zero:
-        box[tuple(I._exps.T)] = 1
-        _kernels.upward_close(box)
+    box = _closed_box(I._exps, tuple(n + 1 for n in var_degree_bounds(I).rho))
     box.setflags(write=False)
     return box
 

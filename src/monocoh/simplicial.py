@@ -201,19 +201,25 @@ def from_facets(d: int, faces: Iterable[Iterable[int]]) -> SimplicialComplex:
 
 
 def _face_flags(d: int, K: SimplicialComplex) -> np.ndarray:
-    """Boolean face indicator over all 2^d bitmasks."""
-    masks = np.arange(1 << d, dtype=np.int64)
-    face = np.zeros(masks.shape, dtype=bool)
-    for f in K._facets:
-        face |= (masks & ~np.int64(f)) == 0
-    return face
+    """Boolean face indicator of K over all 2^d bitmasks: entry m is True
+    iff the face mask m (bit j-1 for vertex j) is a face. Reshaped to
+    (2,)*d, vertex j is axis d - j; the facets are marked there and closed
+    downward, as the upward closure of the box flipped along every axis."""
+    face = np.zeros(1 << d, dtype=np.uint8)
+    face[list(K._facets)] = 1
+    _kernels.upward_close(np.flip(face.reshape((2,) * d)))
+    return face.view(bool)
 
 
 def stanley_reisner_complex(I: MonomialIdeal) -> SimplicialComplex:
     """The complex whose faces F satisfy prod_{j in F} x_j not in sqrt(I).
 
-    The zero ideal gives the full simplex; the unit ideal forces even the
-    empty face out, so the void complex is returned with a warning.
+    The faces of Δ(√I) form a down-closed (2,)*d box whose flat index is the
+    face mask (see ``_radical_face_flags``); flipped along every axis it is
+    up-closed, cell p standing for the mask (2^d - 1) ^ p, and its minimal
+    cells are the facets. The zero ideal gives the full simplex; the unit
+    ideal forces even the empty face out, so the void complex is returned
+    with a warning.
     """
     d = _validate_d(I.d)
     if I.is_unit:
@@ -223,33 +229,27 @@ def stanley_reisner_complex(I: MonomialIdeal) -> SimplicialComplex:
             stacklevel=2,
         )
         return SimplicialComplex(d, ())
-    face = _radical_face_flags(I)
-    masks = np.arange(1 << d, dtype=np.int64)
-    is_facet = face.copy()
-    for v in range(d):
-        bitv = 1 << v
-        without = (masks & bitv) == 0
-        is_facet &= ~(without & face[masks | bitv])
-    return SimplicialComplex(d, [int(m) for m in masks[is_facet]])
+    face = _radical_face_flags(I).reshape((2,) * d)
+    top = (1 << d) - 1
+    cells = np.flatnonzero(_kernels.minimal_cells(np.flip(face)))
+    return SimplicialComplex(d, [top ^ p for p in cells.tolist()])
 
 
 def stanley_reisner_ideal(K: SimplicialComplex) -> MonomialIdeal:
-    """Squarefree ideal generated by the minimal non-faces of K."""
+    """Squarefree ideal generated by the minimal non-faces of K.
+
+    The non-faces of ``_face_flags`` form an up-closed (2,)*d box; with its
+    axes reversed, so that axis j-1 is x_j, it is the ideal's membership
+    box, whose minimal cells are the minimal non-faces. Every subset of [d]
+    a face gives the zero ideal.
+    """
     if K.is_void:
         raise ValueError("the void complex has no Stanley-Reisner ideal")
     d = K.d
-    masks = np.arange(1 << d, dtype=np.int64)
-    face = _face_flags(d, K)
-    nonface = ~face
-    is_min = nonface.copy()
-    for v in range(d):
-        bitv = 1 << v
-        has_v = (masks & bitv) != 0
-        is_min &= ~(has_v & nonface[masks & ~np.int64(bitv)])
-    rows = []
-    for m in masks[is_min]:
-        rows.append([(int(m) >> j) & 1 for j in range(d)])
-    return MonomialIdeal(d, rows)
+    nonface = ~_face_flags(d, K)
+    if not nonface.any():
+        return MonomialIdeal(d)
+    return MonomialIdeal._from_box(nonface.view(np.uint8).reshape((2,) * d).T)
 
 
 def _boundary_matrix(lower: list[int], upper: list[int]) -> np.ndarray:

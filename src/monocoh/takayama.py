@@ -39,6 +39,7 @@ from . import _kernels
 from .errors import InternalConsistencyError, ResourceCapError, UnitIdealError
 from .monomial_core import (
     MonomialIdeal,
+    _mask_sizes,
     _radical_face_flags,
     krull_dimension,
     membership_box,
@@ -435,14 +436,10 @@ def cohomology_tables(
     box = membership_box(I)
     top = i_list[-1] + 1
     absent = sum(1 << j for j in range(d) if not rho[j])
-    faces = sorted(
-        (
-            f
-            for f in np.flatnonzero(_radical_face_flags(I)).tolist()
-            if f and not f & absent and f.bit_count() <= top
-        ),
-        key=int.bit_count,
-    )
+    sizes = _mask_sizes(d)
+    faces = np.flatnonzero(_radical_face_flags(I) & (sizes <= top))
+    faces = faces[(faces != 0) & ((faces & absent) == 0)]
+    faces = faces[np.argsort(sizes[faces], kind="stable")].tolist()
     keys = _kernels.scan_face_masks(
         box, [tuple(j for j in range(d) if f >> j & 1) for f in faces], top - 1
     )

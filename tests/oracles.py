@@ -402,6 +402,47 @@ def downward_closure(facets: list[tuple[int, ...]]) -> set[frozenset[int]]:
 
 
 # ---------------------------------------------------------------------------
+# the subset lattice of [d]: faces, facets and minimal non-faces
+
+
+def brute_radical_faces(I: MonomialIdeal) -> set[frozenset[int]]:
+    """Faces of Δ(√I), as sets of 1-based vertices: the subsets of [d] that
+    contain no generator's support."""
+    supports = [
+        frozenset(j + 1 for j, e in enumerate(row) if e)
+        for row in I.exponent_matrix.tolist()
+    ]
+    return {
+        frozenset(c)
+        for k in range(I.d + 1)
+        for c in itertools.combinations(range(1, I.d + 1), k)
+        if not any(s <= frozenset(c) for s in supports)
+    }
+
+
+def brute_facets(d: int, faces: set[frozenset[int]]) -> set[frozenset[int]]:
+    """The faces that no vertex of [d] extends to a larger face."""
+    return {
+        f for f in faces
+        if not any(f | {v} in faces for v in range(1, d + 1) if v not in f)
+    }
+
+
+def brute_minimal_nonfaces(
+    d: int, faces: set[frozenset[int]]
+) -> set[frozenset[int]]:
+    """The subsets of [d] outside the face set all of whose proper subsets
+    lie in it."""
+    return {
+        frozenset(c)
+        for k in range(d + 1)
+        for c in itertools.combinations(range(1, d + 1), k)
+        if frozenset(c) not in faces
+        and all(frozenset(c) - {v} in faces for v in c)
+    }
+
+
+# ---------------------------------------------------------------------------
 # graded local cohomology of a squarefree quotient via links
 
 

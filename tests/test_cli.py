@@ -2,6 +2,7 @@
 
 import gc
 import json
+import os
 import random
 import re
 import signal
@@ -419,10 +420,14 @@ class TestDeterminism:
         assert gc.collect() == 0
 
     def test_console_script_installed(self):
+        # the child imports the package this suite imports, installed or
+        # found through pytest's pythonpath
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "monocoh.cli", "delta", "--ideal",
              "x1*x2", "--d", "2"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert proc.stdout == "1\n2\n"
 

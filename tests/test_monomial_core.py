@@ -375,6 +375,11 @@ class TestHilbertKrull:
         assert krull_dimension(parse_ideal("0", 3)) == 3
         assert krull_dimension(cycle_ideal(5)) == 2
 
+    def test_krull_refuses_more_than_max_variables(self):
+        # the face box has 2^d cells
+        with pytest.raises(ValueError, match="capped at d <= 20"):
+            krull_dimension(parse_ideal("x1*x21", 21))
+
     def test_krull_against_brute(self, small_corpus):
         for I in small_corpus + corpus(4242, 20, (5, 6), max_gens=8):
             supports = [

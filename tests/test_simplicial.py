@@ -7,8 +7,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from monocoh import _kernels, simplicial, takayama
-from monocoh.monomial_core import parse_ideal, power, saturate_irrelevant
+from monocoh import _kernels, monomial_core, simplicial, takayama
+from monocoh.monomial_core import (
+    MonomialIdeal,
+    krull_dimension,
+    parse_ideal,
+    power,
+    radical,
+    saturate_irrelevant,
+)
 from monocoh.simplicial import (
     MAX_CHAR,
     SimplicialComplex,
@@ -134,6 +141,68 @@ class TestStanleyReisner:
     def test_void_has_no_ideal(self):
         with pytest.raises(ValueError):
             stanley_reisner_ideal(SimplicialComplex(2, ()))
+
+
+def lattice_corpus(seed: int, count: int) -> list[MonomialIdeal]:
+    """The zero ideal and the maximal ideal in 1..12 variables, then seeded
+    ideals in 1..12 variables, each variable absent from all generators
+    with probability 1/4. Exponents stay at most 1 from d = 7 on, so that
+    squares of the wide ideals are still built as one box."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for d in range(1, 13):
+        out += [MonomialIdeal(d), MonomialIdeal(d, np.eye(d, dtype=np.int64))]
+    while len(out) < 24 + count:
+        d = int(rng.integers(1, 13))
+        rows = rng.integers(0, 4 if d <= 6 else 2, size=(int(rng.integers(1, 7)), d))
+        rows[:, rng.random(d) < 0.25] = 0
+        out.append(MonomialIdeal(d, rows[rows.any(axis=1)]))
+    return out
+
+
+class TestSubsetLattice:
+    """Faces, facets, non-faces and Krull dimension, read off {0,1}^d boxes,
+    against frozenset oracles. Square-free boxes of d >= 10 variables hold
+    at least 512 cells per step on every axis, so ``upward_close`` closes
+    them by slice maxima, also on the flipped view of ``_face_flags``;
+    smaller ones by accumulation."""
+
+    def test_against_frozenset_oracles(self):
+        seen = {"box": 0, "absent": 0, "wide": 0, "full": 0, "irrelevant": 0}
+        for I in lattice_corpus(20261020, 100):
+            d = I.d
+            seen["absent"] += not I.is_zero and not I.exponent_matrix.max(axis=0).all()
+            forms = [I]
+            if not I.is_zero:
+                P = power(I, 2)
+                forms += [P, saturate_irrelevant(P)]
+            for J in forms:
+                flags = monomial_core._radical_face_flags(J)
+                faces = oracles.brute_radical_faces(J)
+                assert flags.shape == (1 << d,)
+                assert {
+                    frozenset(j + 1 for j in range(d) if m >> j & 1)
+                    for m in np.flatnonzero(flags).tolist()
+                } == faces, J
+                seen["box"] += J._box is not None
+                if J.is_unit:
+                    continue
+                seen["wide"] += d >= 10
+                assert krull_dimension(J) == max(len(f) for f in faces)
+                K = stanley_reisner_complex(J)
+                assert {frozenset(f) for f in K.facets} == oracles.brute_facets(
+                    d, faces)
+                seen["full"] += K.facets == (tuple(range(1, d + 1)),)
+                seen["irrelevant"] += K.is_irrelevant
+                SR = stanley_reisner_ideal(K)
+                assert {
+                    frozenset(j + 1 for j, e in enumerate(row) if e)
+                    for row in SR.exponent_matrix.tolist()
+                } == oracles.brute_minimal_nonfaces(d, faces)
+                assert SR == radical(J)
+        assert seen["box"] >= 150 and seen["absent"] >= 50, seen
+        assert seen["wide"] >= 50 and seen["full"] >= 12, seen
+        assert seen["irrelevant"] >= 12, seen
 
 
 class TestHomologyFixtures:

@@ -11,6 +11,7 @@ from monocoh import _kernels
 from monocoh import takayama as tk
 from monocoh.errors import ResourceCapError, UnitIdealError
 from monocoh.monomial_core import (
+    MonomialIdeal,
     krull_dimension,
     membership_box,
     parse_ideal,
@@ -378,6 +379,37 @@ class TestOneScan:
             assert all(0 < len(f) <= max_i + 1 for f in faces)
             assert all(rho[j] for f in faces for j in f)
         assert faces == [(0,), (1,)]
+
+    def test_absent_variables_shift_every_degree(self, small_corpus):
+        # R' = R[y_1..y_k]: H^{i+k}(R'/IR') is H^i(R/I) tensored with the top
+        # local cohomology of k[y], one dimension in each degree negative on
+        # every y. So each row gains the y's in G and zeros in a⁺. The cap
+        # charges every G its own box, about 2^k of them, while the scanned
+        # box stays that of I, so it is lifted here.
+        rng = np.random.default_rng(20261020)
+        nonempty = 0
+        for I in small_corpus[:20]:
+            d, k = I.d, 20 - I.d
+            at = sorted(rng.choice(20, size=d, replace=False).tolist())
+            wide = np.zeros((I.num_gens, 20), dtype=np.int64)
+            wide[:, at] = I.exponent_matrix
+            absent = [j + 1 for j in range(20) if j not in at]
+            for n in (1, 2):
+                J, J20 = power(I, n), power(MonomialIdeal(20, wide), n)
+                tables = cohomology_tables(
+                    J20, [i + k for i in range(d + 1)], pattern_cap=2**40)
+                for i, table in cohomology_tables(J, range(d + 1)).items():
+                    want = set()
+                    for G, a, dim in table.sorted_rows():
+                        a20 = [0] * 20
+                        for j, e in zip(at, a):
+                            a20[j] = e
+                        G20 = sorted(absent + [at[g - 1] + 1 for g in G])
+                        want.add((tuple(G20), tuple(a20), dim))
+                    got = tables[i + k].sorted_rows()
+                    assert {(G, tuple(a), dim) for G, a, dim in got} == want
+                    nonempty += bool(want)
+        assert nonempty >= 40, nonempty
 
     def test_cap_names_first_degree_over_it(self, monkeypatch):
         I = cycle_ideal(5)  # rho = 1: 32 patterns at i=0, 112 at i=1
