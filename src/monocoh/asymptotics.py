@@ -19,12 +19,12 @@ from .monomial_core import (
     radical,
     saturate_irrelevant,
 )
-from .simplicial import homology_dim_single, stanley_reisner_complex
 from .takayama import (
     DEFAULT_PATTERN_CAP,
     ExtendedDegree,
     _require_module,
     _validate_i,
+    cohomology_dim_at,
     cohomology_table,
     regularity,
     table_indeg,
@@ -229,8 +229,8 @@ def _dichotomy_verdict(
 ) -> DichotomyVerdict:
     """The verdict of ``dichotomy_report`` on a computed report's rows."""
     I, i, char = report.ideal, report.i, report.char
-    K = stanley_reisner_complex(I)
-    h_tilde_dim = homology_dim_single(K.face_masks(), i - 1, char)
+    # H^i_m(R/I)_0 = H~_{i-1}(Δ_0(I)), and Δ_0(I) is the full complex
+    h_tilde_dim = cohomology_dim_at(I, i, (0,) * I.d, char)
     case = "CASE1" if h_tilde_dim > 0 else "CASE2"
     violations = []
     certified = []

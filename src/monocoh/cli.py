@@ -180,7 +180,7 @@ def _emit(line: str) -> None:
 
 def _cmd_delta(args: argparse.Namespace) -> int:
     I, _, _ = _checked_inputs(args, require=_require_complex)
-    K = stanley_reisner_complex(mc.radical(I))
+    K = stanley_reisner_complex(I)
     if args.fmt == "json":
         _emit(json.dumps({"d": K.d, "facets": [list(f) for f in K.facets]},
                          separators=(",", ":")))

@@ -479,24 +479,27 @@ def var_degree_bounds(I: MonomialIdeal) -> VarDegreeBounds:
     return VarDegreeBounds(rho=tuple(int(x) for x in I._exps.max(axis=0)))
 
 
-def _radical_face_flags(I: MonomialIdeal) -> np.ndarray:
-    """Face indicator of Δ(√I) over all 2^d bitmasks: the mask F (bit j-1
-    for x_j) is a face iff no generator's support lies inside F.
+def _corner_flags(I: MonomialIdeal, low: Sequence[int]) -> np.ndarray:
+    """The indicator over all 2^d masks M (bit j-1 for x_j) of x^c not in I,
+    where c_j = rho_j when bit j-1 of M is set and c_j = low_j <= rho_j
+    otherwise. At low = 0 it is the face indicator of Δ(√I).
 
-    F is the cell c of the (2,)*d corner box with c_j = 1 iff bit j of F is
-    set, and the box is 1 at c iff x^(rho*c) lies in I. A box-backed ideal
-    reads it as a strided view of its box (indices 0 and rho_j on each
-    axis), broadcast over the axes with rho_j = 0; any other ideal closes
-    its generators' supports upward. Reversing the axes and flattening in C
-    order makes a cell's flat index its mask.
+    M is a cell of the (2,)*d corner of the membership box at low. A
+    box-backed ideal reads it as a strided view of its box (indices low_j
+    and rho_j on each axis), broadcast over the axes with low_j = rho_j; any
+    other ideal closes upward, per generator g, the mask {j : g_j > low_j},
+    since g divides x^c iff that mask lies inside M. Reversing the axes and
+    flattening in C order makes a cell's flat index its mask.
     """
     if I.d > MAX_VARIABLES:
         raise ValueError(f"face enumeration is capped at d <= {MAX_VARIABLES}")
     if I._box is not None:
-        step = tuple(slice(None, None, max(n - 1, 1)) for n in I._box.shape)
+        step = tuple(
+            slice(lo, None, max(n - 1 - lo, 1)) for lo, n in zip(low, I._box.shape)
+        )
         corners = np.broadcast_to(I._box[step], (2,) * I.d)
     else:
-        corners = _closed_box((I._exps > 0).astype(np.int64), (2,) * I.d)
+        corners = _closed_box((I._exps > np.asarray(low)).astype(np.int64), (2,) * I.d)
     return corners.T.reshape(-1) == 0
 
 
@@ -516,7 +519,7 @@ def krull_dimension(I: MonomialIdeal) -> int:
     generator of the radical (the largest face of the radical's complex)."""
     if I.is_unit:
         raise UnitIdealError("R/I is the zero ring; its dimension is undefined")
-    faces = _radical_face_flags(I)
+    faces = _corner_flags(I, (0,) * I.d)
     return int(_mask_sizes(I.d)[faces].max())
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import UnitIdealError
-from .monomial_core import MAX_VARIABLES, MonomialIdeal, _radical_face_flags
+from .monomial_core import MAX_VARIABLES, MonomialIdeal, _corner_flags
 
 
 # Largest accepted prime characteristic. Elimination is exact in Python
@@ -211,15 +211,24 @@ def _face_flags(d: int, K: SimplicialComplex) -> np.ndarray:
     return face.view(bool)
 
 
+def _flag_facets(flags: np.ndarray, d: int) -> list[int]:
+    """The facet masks of the complex whose faces are the set entries of a
+    down-closed indicator over all 2^d masks. Reshaped to (2,)*d and flipped
+    along every axis the indicator is up-closed, cell p standing for the
+    mask (2^d - 1) ^ p, and its minimal cells are the facets; no face at all
+    gives no facet."""
+    top = (1 << d) - 1
+    cells = np.flatnonzero(_kernels.minimal_cells(np.flip(flags.reshape((2,) * d))))
+    return [top ^ p for p in cells.tolist()]
+
+
 def stanley_reisner_complex(I: MonomialIdeal) -> SimplicialComplex:
     """The complex whose faces F satisfy prod_{j in F} x_j not in sqrt(I).
 
-    The faces of Δ(√I) form a down-closed (2,)*d box whose flat index is the
-    face mask (see ``_radical_face_flags``); flipped along every axis it is
-    up-closed, cell p standing for the mask (2^d - 1) ^ p, and its minimal
-    cells are the facets. The zero ideal gives the full simplex; the unit
-    ideal forces even the empty face out, so the void complex is returned
-    with a warning.
+    Its faces are the corner of the membership box at 0 (see
+    ``_corner_flags``), and ``_flag_facets`` reads its facets. The
+    zero ideal gives the full simplex; the unit ideal forces even the empty
+    face out, so the void complex is returned with a warning.
     """
     d = _validate_d(I.d)
     if I.is_unit:
@@ -229,10 +238,7 @@ def stanley_reisner_complex(I: MonomialIdeal) -> SimplicialComplex:
             stacklevel=2,
         )
         return SimplicialComplex(d, ())
-    face = _radical_face_flags(I).reshape((2,) * d)
-    top = (1 << d) - 1
-    cells = np.flatnonzero(_kernels.minimal_cells(np.flip(face)))
-    return SimplicialComplex(d, [top ^ p for p in cells.tolist()])
+    return SimplicialComplex(d, _flag_facets(_corner_flags(I, (0,) * d), d))
 
 
 def stanley_reisner_ideal(K: SimplicialComplex) -> MonomialIdeal:
@@ -388,12 +394,15 @@ def _word_homology(
         ranks[1] = _forest_size(edges, frame.ends)
     if word >> graph_end and qs[-1] >= 1:
         by_dim: dict[int, list[int]] = {-1: [0]}
-        rest = word
-        while rest:
-            low = rest & -rest
-            f = frame.faces[low.bit_length() - 1]
-            by_dim.setdefault(f.bit_count() - 1, []).append(f)
-            rest ^= low
+        # walked 64 bits at a time, so a long word costs linear time
+        raw = word.to_bytes((word.bit_length() + 7) // 8, "little")
+        for base in range(0, len(raw), 8):
+            rest = int.from_bytes(raw[base : base + 8], "little")
+            while rest:
+                low = rest & -rest
+                f = frame.faces[8 * base + low.bit_length() - 1]
+                by_dim.setdefault(f.bit_count() - 1, []).append(f)
+                rest ^= low
         for q, faces in by_dim.items():
             if q >= 2:
                 cells[q] = len(faces)

@@ -1,13 +1,16 @@
 """Degree complexes and graded local cohomology tables for monomial quotients.
 
 For a ∈ ℤ^d the graded piece H^i_m(R/I)_a has dimension
-dim H~_{i-|G_a|-1}(Δ_a(I)), where G_a is the set of negative coordinates,
-a⁺ zeroes them out, and Δ_a(I) consists of the faces F ⊆ [d]∖G_a with
-x^{a⁺} outside the projection I_{F∪G_a}. The complex only depends on a
-through (G_a, a⁺ clamped at the per-variable generator bounds rho), because
-every membership test compares a⁺_j against generator exponents that never
-exceed rho_j. That makes the whole module a finite table of degree patterns,
-which is what this module computes.
+dim H~_{i-|G_a|-1}(Δ_a(I)) (Takayama's formula), where G_a is the set of
+negative coordinates, a⁺ zeroes them out, and Δ_a(I) consists of the faces
+F ⊆ [d]∖G_a with x^{a⁺} outside the projection I_{F∪G_a}. No generator
+exceeds the per-variable bound rho_j, so F is a face exactly when the
+upward-closed membership box of shape rho + 1 is 0 at a⁺ ∨ rho·1_{F∪G_a}
+(a⁺ clamped at rho). Every complex is therefore one (2,)*d corner of that
+box: Δ_a(I) is the corner at a⁺ raised to rho on G_a, and Δ(√I) = Δ_0(I)
+the corner at 0. ``degree_complex`` and ``cohomology_dim_at`` read one
+corner each; a table reads Δ(√I) for its candidate faces and then the
+whole box, one degree pattern per cell.
 
 Only the interior a⁺_j < rho_j can be nonzero: if a⁺_j >= rho_j for some j
 outside G_a, no generator exceeds a⁺_j in coordinate j, so j is a cone point
@@ -39,20 +42,19 @@ from . import _kernels
 from .errors import InternalConsistencyError, ResourceCapError, UnitIdealError
 from .monomial_core import (
     MonomialIdeal,
+    _corner_flags,
     _mask_sizes,
-    _radical_face_flags,
     krull_dimension,
     membership_box,
     var_degree_bounds,
 )
 from .simplicial import (
     SimplicialComplex,
-    _antichain_max,
     _FaceFrame,
+    _flag_facets,
     _validate_char,
     _validate_d,
     _word_homology,
-    homology_dim_single,
 )
 
 DEFAULT_PATTERN_CAP = 10_000_000
@@ -258,74 +260,60 @@ def _validate_i(d: int, i: int) -> int:
     return i
 
 
-def _split_degree(
-    I: MonomialIdeal, a: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    """(a⁺ clamped at rho, G_a as 0-based axes) of a degree vector.
-
-    Exact for any magnitude: Δ_a reads a only through G_a and through
-    comparisons of a⁺_j with generator exponents, none above rho_j.
-    """
+def _degree_flags(I: MonomialIdeal, a: Sequence[int]) -> tuple[np.ndarray, int]:
+    """(flags, G_a as a mask) of a degree vector: ``_corner_flags`` at a⁺
+    clamped at rho and raised to rho on G_a. No generator exceeds rho, so
+    the mask F ∪ G_a is set iff x^{a⁺} is outside project(I, F ∪ G_a): the
+    flags are Δ_a(I), constant along G_a. Exact for any magnitude of a."""
     a = [int(x) for x in a]
     if len(a) != I.d:
         raise ValueError(f"degree vector must have length {I.d}")
     rho = var_degree_bounds(I).rho
-    g_cols = [j for j, x in enumerate(a) if x < 0]
-    return [min(max(x, 0), r) for x, r in zip(a, rho)], g_cols
+    low = [r if x < 0 else min(x, r) for x, r in zip(a, rho)]
+    return _corner_flags(I, low), sum(1 << j for j, x in enumerate(a) if x < 0)
+
+
+def _frame_faces(flags: np.ndarray, d: int, top: int, avoid: int) -> list[int]:
+    """The nonempty faces of a face indicator over all 2^d masks that have
+    at most ``top`` vertices and none in the mask ``avoid``, ordered by size
+    (ties in mask order): the face list of a ``_FaceFrame``."""
+    sizes = _mask_sizes(d)
+    faces = np.flatnonzero(flags & (sizes <= top))
+    faces = faces[(faces != 0) & ((faces & avoid) == 0)]
+    return faces[np.argsort(sizes[faces], kind="stable")].tolist()
 
 
 def degree_complex(I: MonomialIdeal, a: Sequence[int]) -> SimplicialComplex:
     """Δ_a(I): faces F ⊆ [d]∖G_a with x^{a⁺} not in project(I, F ∪ G_a).
 
-    The membership predicate only asks whether some generator divides
-    x^{a⁺} away from F ∪ G_a, so each face test is a bitmask check against
-    the per-generator set of coordinates where the generator exceeds a⁺.
-    Void when the empty face itself fails.
+    Every facet of the corner flags contains G_a, and XORing it out leaves
+    a facet of Δ_a(I). Void when the empty face itself fails.
     """
     _require_not_unit(I)
     d = _validate_d(I.d)
-    a_plus, g_cols = _split_degree(I, a)
-    gmask = 0
-    for j in g_cols:
-        gmask |= 1 << j
-    free_mask = ((1 << d) - 1) ^ gmask
-    # generator g rules out face sets S ⊇ {j : g_j > a⁺_j}
-    bads = []
-    for row in I.exponent_matrix:
-        bad = 0
-        for j in range(d):
-            if row[j] > a_plus[j]:
-                bad |= 1 << j
-        bads.append(bad)
-    faces = []
-    s = free_mask
-    while True:
-        full = s | gmask
-        if all(bad & ~full for bad in bads):
-            faces.append(s)
-        if s == 0:
-            break
-        s = (s - 1) & free_mask
-    return SimplicialComplex(d, _antichain_max(faces))
+    flags, g = _degree_flags(I, a)
+    return SimplicialComplex(d, [f ^ g for f in _flag_facets(flags, d)])
 
 
 def cohomology_dim_at(
     I: MonomialIdeal, i: int, a: Sequence[int], char: int = 0
 ) -> int:
     """dim_k H^i_m(R/I)_a = dim H~_{i-|G_a|-1}(Δ_a(I), k); 0 when the
-    homology degree drops below -1."""
+    homology degree drops below -1 or Δ_a(I) is void (no empty face).
+
+    H~_q reads the faces of Δ_a(I) with at most q + 2 vertices: one frame
+    over them, and the complex is its full word.
+    """
     _require_not_unit(I)
     d = _validate_d(I.d)
     i = _validate_i(d, i)
     char = _validate_char(char)
-    _, g_cols = _split_degree(I, a)
-    q = i - len(g_cols) - 1
-    if q < -1:
+    flags, g = _degree_flags(I, a)
+    q = i - g.bit_count() - 1
+    if q < -1 or not flags[0]:
         return 0
-    K = degree_complex(I, a)
-    if K.is_void:
-        return 0
-    return homology_dim_single(K.face_masks(), q, char)
+    frame = _FaceFrame(_frame_faces(flags, d, q + 2, g))
+    return _word_homology((1 << len(frame.faces)) - 1, frame, [q], char).get(q, 0)
 
 
 def _pattern_count(rho: Sequence[int], d: int, max_g: int) -> int:
@@ -436,10 +424,7 @@ def cohomology_tables(
     box = membership_box(I)
     top = i_list[-1] + 1
     absent = sum(1 << j for j in range(d) if not rho[j])
-    sizes = _mask_sizes(d)
-    faces = np.flatnonzero(_radical_face_flags(I) & (sizes <= top))
-    faces = faces[(faces != 0) & ((faces & absent) == 0)]
-    faces = faces[np.argsort(sizes[faces], kind="stable")].tolist()
+    faces = _frame_faces(_corner_flags(I, (0,) * d), d, top, absent)
     keys = _kernels.scan_face_masks(
         box, [tuple(j for j in range(d) if f >> j & 1) for f in faces], top - 1
     )

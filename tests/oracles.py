@@ -420,6 +420,28 @@ def brute_radical_faces(I: MonomialIdeal) -> set[frozenset[int]]:
     }
 
 
+def brute_degree_complex(I: MonomialIdeal, a) -> set[frozenset[int]]:
+    """Δ_a(I) by its definition: the faces F ⊆ [d]∖G_a (sets of 1-based
+    vertices, frozenset() for the empty face; the void complex is empty)
+    with x^{a⁺} outside project(I, F ∪ G_a). Setting x_j = 1 for j in
+    S = F ∪ G_a lets every generator's x_j-exponent through, so x^{a⁺} lies
+    in the projection iff x^c lies in I, with c_j raised past every
+    generator exponent on S and c_j = a⁺_j elsewhere."""
+    d = I.d
+    G = {j + 1 for j in range(d) if a[j] < 0}
+    a_plus = [max(int(x), 0) for x in a]
+    past = 1 + max((max(row) for row in I.exponent_matrix.tolist()), default=0)
+    free = [j for j in range(1, d + 1) if j not in G]
+    faces = set()
+    for k in range(len(free) + 1):
+        for F in itertools.combinations(free, k):
+            S = G | set(F)
+            c = tuple(past if j + 1 in S else a_plus[j] for j in range(d))
+            if not brute_membership(I, c):
+                faces.add(frozenset(F))
+    return faces
+
+
 def brute_facets(d: int, faces: set[frozenset[int]]) -> set[frozenset[int]]:
     """The faces that no vertex of [d] extends to a larger face."""
     return {

@@ -16,6 +16,7 @@ import pytest
 import monocoh.cli as cli
 import monocoh.takayama as tk
 from monocoh.errors import InternalConsistencyError
+from monocoh.monomial_core import parse_ideal
 from monocoh.takayama import CohomologyTable
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -123,6 +124,28 @@ class TestCohomology:
         code_c, out_c = run_cli(capsys, *argv, "--at", clamped)
         assert code == code_c == 0
         assert out == out_c.replace(clamped, huge)
+
+    def test_at_twenty_variables_within_alarm(self, capsys):
+        # one corner read of the 2^20 masks and a frame of the faces with
+        # at most 3 vertices, not a walk over every face of Δ_a
+        ideal, at = "x1*x2, x2*x3", f"({','.join('0' * 20)})"
+
+        def hang(signum, frame):
+            raise _Hang
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            dim = tk.cohomology_dim_at(parse_ideal(ideal, 20), 2, (0,) * 20)
+            code, out = run_cli(capsys, "cohomology", "--ideal", ideal, "--d",
+                                "20", "--i", "2", "--at", at)
+        except _Hang:
+            pytest.fail("no answer within 5 s at d = 20")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert dim == 0
+        assert code == 0 and out == f"n=1 i=2 a={at} dim=0\n"
 
     def test_at_length_mismatch(self, capsys):
         code, _ = run_cli(capsys, "cohomology", "--ideal", "x1*x2",

@@ -312,8 +312,8 @@ class TestPowerBox:
                     assert np.array_equal(membership_box(J), membership_box(ref))
                     assert (J.is_unit, J.is_zero) == (ref.is_unit, ref.is_zero)
                     assert np.array_equal(
-                        monomial_core._radical_face_flags(J),
-                        monomial_core._radical_face_flags(ref))
+                        monomial_core._corner_flags(J, (0,) * J.d),
+                        monomial_core._corner_flags(ref, (0,) * ref.d))
                     if not ref.is_unit:
                         assert krull_dimension(J) == krull_dimension(ref)
                     # none of the reads above extracts generators
@@ -334,7 +334,13 @@ class TestPowerBox:
             return box_generators(box)
 
         monkeypatch.setattr(monomial_core, "_box_generators", counting)
-        table = takayama.cohomology_table(saturate_irrelevant(power(I, 4)), 1)
+        J = saturate_irrelevant(power(I, 4))
+        table = takayama.cohomology_table(J, 1)
+        # the single-degree path reads the same box: the C_7 witness degree
+        a = (1, 0, 1, 1, 1, 1, 0)
+        K = takayama.degree_complex(J, a)
+        assert set(K.facets) == {(3, 4), (4, 5), (5, 6)}
+        assert takayama.cohomology_dim_at(J, 1, a) == 0
         assert table.dims.size and extracted == []
 
     def test_cycle_c7_power_8_on_the_box_route(self, monkeypatch):

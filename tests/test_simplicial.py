@@ -177,7 +177,7 @@ class TestSubsetLattice:
                 P = power(I, 2)
                 forms += [P, saturate_irrelevant(P)]
             for J in forms:
-                flags = monomial_core._radical_face_flags(J)
+                flags = monomial_core._corner_flags(J, (0,) * J.d)
                 faces = oracles.brute_radical_faces(J)
                 assert flags.shape == (1 << d,)
                 assert {
@@ -477,6 +477,22 @@ class TestFaceWords:
                         results.append(sorted(got.items()))
         digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
         assert len(results) == 2556 and digest == FACE_SET_RESULTS_SHA256
+
+    def test_words_longer_than_one_machine_word(self):
+        # the 3-skeleton and the boundary of the 6-simplex: 98 and 126 bits
+        # of a frame of every nonempty subset of [7], so the face list is
+        # read across several 64-bit chunks of the word
+        frame = _FaceFrame(sorted(range(1, 1 << 7), key=int.bit_count))
+        for top, want in ((4, {3: 15}), (6, {5: 1})):
+            faces = [f for f in frame.faces if f.bit_count() <= top]
+            oracle_faces = {frozenset(v for v in range(7) if m >> v & 1)
+                            for m in faces + [0]}
+            for char in (0, 2):
+                assert {q: oracles.reduced_homology_oracle(oracle_faces, q, char)
+                        for q in want} == want
+                got = _word_homology((1 << len(faces)) - 1, frame,
+                                     list(range(-1, 7)), char)
+                assert got == want
 
     def test_low_degrees_of_a_filled_triangle_build_no_face_list(
             self, monkeypatch):

@@ -86,6 +86,47 @@ class TestDegreeComplex:
                     assert cohomology_dim_at(J, 1, a, 0) == 0
                 assert set(K.facets) == expected
 
+    def test_against_the_definition(self, small_corpus):
+        # ideals, their squares (box-backed) and saturated squares, at
+        # negative, interior and boundary degrees: facets and every
+        # cohomology_dim_at value against the definition of Δ_a(I)
+        rng = np.random.default_rng(20261020)
+        seen = {"pairs": 0, "box": 0, "negative": 0, "boundary": 0, "nonzero": 0}
+        for I in small_corpus[:30]:
+            P = power(I, 2)
+            for J in (I, P, saturate_irrelevant(P)):
+                if J.is_unit:
+                    continue
+                rho = var_degree_bounds(J).rho
+                degrees = [boundary_degree(rng, rho)[0]]
+                for _ in range(3):
+                    a = [int(rng.integers(0, r + 1)) for r in rho]
+                    for j in range(J.d):
+                        if rng.random() < 0.3:
+                            a[j] = -int(rng.integers(1, 3))
+                    degrees.append(a)
+                for a in degrees:
+                    faces = oracles.brute_degree_complex(J, a)
+                    K = degree_complex(J, a)
+                    assert {frozenset(f) for f in K.facets} == oracles.brute_facets(
+                        J.d, faces), (J, a)
+                    g_size = sum(x < 0 for x in a)
+                    for char in (0, 2):
+                        for i in range(J.d + 1):
+                            q = i - g_size - 1
+                            want = oracles.reduced_homology_oracle(
+                                faces, q, char) if q >= -1 else 0
+                            got = cohomology_dim_at(J, i, a, char)
+                            assert got == want, (J, a, i, char)
+                            seen["nonzero"] += got != 0
+                    seen["pairs"] += 1
+                    seen["box"] += J._box is not None
+                    seen["negative"] += g_size > 0
+                    seen["boundary"] += any(
+                        x >= r for x, r in zip(a, rho))
+        assert seen["pairs"] >= 300 and seen["box"] >= 150, seen
+        assert min(seen.values()) >= 50, seen
+
     def test_void_when_a_plus_inside(self):
         I = parse_ideal("x1*x2", 2)
         assert degree_complex(I, (1, 1)).is_void
