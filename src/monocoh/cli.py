@@ -253,24 +253,21 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
             # after the first power, so a cap trip leaves stdout empty
             _emit("n,i,char,finite_length,G,a_plus,dim")
         for i, table in tables.items():
+            fl = str(table.finite_length).lower()
             if args.fmt == "json":
-                buffered.append({"n": n, "table": table.to_dict()})
+                buffered.append('{"n":%d,"table":%s}' % (n, table.to_json()))
             elif args.fmt == "csv":
-                fl = str(table.finite_length).lower()
-                for G, a_plus, dim in table.sorted_rows():
-                    g = ";".join(map(str, G))
-                    ap = ";".join(map(str, a_plus))
-                    _emit(f"{n},{i},{args.char},{fl},{g},{ap},{dim}")
+                rows = table._write_rows(
+                    f"{n},{i},{args.char},{fl},%s,%s,%s", ";", "\n")
+                if rows:
+                    _emit(rows)
             else:
-                _emit(f"# n={n} i={i} char={args.char} "
-                      f"finite_length={str(table.finite_length).lower()} "
-                      f"entries={table.dims.size}")
-                for G, a_plus, dim in table.sorted_rows():
-                    g = "{" + ",".join(map(str, G)) + "}"
-                    ap = "(" + ",".join(map(str, a_plus)) + ")"
-                    _emit(f"G={g} a+={ap} dim={dim}")
+                head = (f"# n={n} i={i} char={args.char} finite_length={fl} "
+                        f"entries={table.dims.size}")
+                rows = table._write_rows("G={%s} a+=(%s) dim=%s", ",", "\n")
+                _emit(f"{head}\n{rows}" if rows else head)
     if args.fmt == "json":
-        _emit(json.dumps(buffered, separators=(",", ":")))
+        _emit("[" + ",".join(buffered) + "]")
     return 0
 
 

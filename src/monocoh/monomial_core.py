@@ -121,7 +121,9 @@ def _minimal_rows(exps: np.ndarray) -> np.ndarray:
     maxs = exps.max(axis=0)
     if _box_cells(maxs) <= min(m * m, _BOX_CELL_CAP):
         return _box_generators(_closed_box(exps, tuple(maxs + 1)))
-    exps = np.unique(exps, axis=0)
+    # return_index keeps np.unique off np.ma.is_masked, whose lazy import
+    # of numpy.ma would otherwise be paid by the first such call
+    exps = np.unique(exps, axis=0, return_index=True)[0]
     return exps[_kernels.pairwise_minimal(exps)]
 
 

@@ -121,12 +121,8 @@ class DegreePattern:
 
 
 def _g_tuples(g_masks: Sequence[int], d: int) -> list[tuple[int, ...]]:
-    """The 1-based sorted G of every bitmask (bit j-1 is x_j), each distinct
-    mask decoded once."""
-    decoded = {
-        g: tuple(j + 1 for j in range(d) if g >> j & 1) for g in set(g_masks)
-    }
-    return [decoded[g] for g in g_masks]
+    """The 1-based sorted G of every bitmask (bit j-1 is x_j)."""
+    return [tuple(j + 1 for j in range(d) if g >> j & 1) for g in g_masks]
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
@@ -148,8 +144,12 @@ class CohomologyTable:
     holds exactly when every G is empty. ``entries`` is the same table as a
     dict from ``DegreePattern`` to dimension, built on first access; the
     invariants, equality and serialisation read the arrays and never build
-    it. ``rho`` records the clamping bounds the scan used; it is an
-    annotation derived from the ideal, not part of table identity.
+    it. The arrays may hold the rows in any order: ``_ordered_rows`` puts
+    them in the one order (|G|, G, a⁺) that equality, ``sorted_rows``,
+    ``entries`` and every writer use, and ``_write_rows`` is the one writer
+    behind ``to_json`` and the command line's JSON, CSV and text. ``rho``
+    records the clamping bounds the scan used; it is an annotation derived
+    from the ideal, not part of table identity.
     """
 
     i: int
@@ -168,33 +168,64 @@ class CohomologyTable:
         return dict(self.sorted_entries())
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CohomologyTable)
-            and self.i == other.i
-            and self.char == other.char
-            and self.dims.size == other.dims.size
-            and self.sorted_rows() == other.sorted_rows()
-        )
+        """Same i, char and rows, in whatever order the arrays hold them:
+        the same canonical text."""
+        return isinstance(other, CohomologyTable) and self.to_json() == other.to_json()
+
+    def _ordered_rows(
+        self,
+    ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray, np.ndarray]:
+        """``(gs, g_of, a_plus, dims)``: the rows in the order (|G|, G, a⁺),
+        whatever order the arrays hold them in. ``gs`` lists the distinct
+        G's, each decoded once, and row r has G = ``gs[g_of[r]]``.
+
+        The order is one ``np.lexsort``: |G| first, then G, which ascends
+        lexicographically as its bit-reversed mask descends, then a⁺'s
+        columns. The mask is reversed over 63 bits, the width of ``g_masks``.
+        """
+        masks = sorted(set(self.g_masks.tolist()))
+        g_of = np.searchsorted(np.array(masks, dtype=np.int64), self.g_masks)
+        gs = _g_tuples(masks, self.a_plus.shape[1])
+        size = np.array([len(G) for G in gs], dtype=np.int64)
+        rev = np.array([sum(1 << (63 - j) for j in G) for G in gs], dtype=np.int64)
+        order = np.lexsort((*self.a_plus.T[::-1], -rev[g_of], size[g_of]))
+        return gs, g_of[order], self.a_plus[order], self.dims[order]
 
     def sorted_rows(self) -> list[tuple[tuple[int, ...], list[int], int]]:
-        """Every row as ``(G, a⁺, dim)`` in Python integers, sorted by the
-        key (|G|, G, a⁺). The scan writes its rows in that order already,
-        and on sorted input the sort only checks it, in linear time."""
-        rows = list(
-            zip(
-                _g_tuples(self.g_masks.tolist(), self.a_plus.shape[1]),
-                self.a_plus.tolist(),
-                self.dims.tolist(),
-            )
-        )
-        rows.sort(key=lambda row: (len(row[0]), row[0], row[1]))
-        return rows
+        """Every row as ``(G, a⁺, dim)`` in Python integers, in the order
+        (|G|, G, a⁺) of ``_ordered_rows``."""
+        gs, g_of, a_plus, dims = self._ordered_rows()
+        return [
+            (gs[u], a, dim)
+            for u, a, dim in zip(g_of.tolist(), a_plus.tolist(), dims.tolist())
+        ]
 
     def sorted_entries(self) -> list[tuple[DegreePattern, int]]:
         return [
             (DegreePattern._from_scan(tuple(a), G), dim)
             for G, a, dim in self.sorted_rows()
         ]
+
+    def _write_rows(self, row: str, join: str, sep: str) -> str:
+        """The rows in the order of ``_ordered_rows`` as text, joined by
+        ``sep``; empty for a table without rows.
+
+        ``row`` has three ``%s`` slots, for G, a⁺ and dim, and no other
+        ``%``. G's indices and a⁺'s entries are joined by ``join``. The a⁺
+        slot becomes d ``%d`` slots, each distinct G is written once, and
+        the whole table is one ``%`` call over the ordered columns.
+        """
+        if not self.dims.size:
+            return ""
+        gs, g_of, a_plus, dims = self._ordered_rows()
+        rows, d = a_plus.shape
+        g_text = np.array([join.join(map(str, G)) for G in gs], dtype=object)
+        cells = np.empty((rows, d + 2), dtype=object)
+        cells[:, 0] = g_text[g_of]
+        cells[:, 1:-1] = a_plus
+        cells[:, -1] = dims
+        template = row % ("%s", join.join(["%d"] * d), "%d")
+        return sep.join([template] * rows) % tuple(cells.ravel().tolist())
 
     def to_dict(self) -> dict:
         return {
@@ -208,7 +239,13 @@ class CohomologyTable:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
+        """``to_dict`` as compact JSON, written straight from the columns."""
+        return '{"i":%d,"char":%d,"finite_length":%s,"entries":[%s]}' % (
+            self.i,
+            self.char,
+            "true" if self.finite_length else "false",
+            self._write_rows('{"G":[%s],"a_plus":[%s],"dim":%s}', ",", ","),
+        )
 
     @classmethod
     def from_dict(cls, data: dict) -> "CohomologyTable":
@@ -283,6 +320,19 @@ def _frame_faces(flags: np.ndarray, d: int, top: int, avoid: int) -> list[int]:
     return faces[np.argsort(sizes[faces], kind="stable")].tolist()
 
 
+def _cone_axis(flags: np.ndarray, d: int, avoid: int) -> bool:
+    """True when some vertex v outside the mask ``avoid`` is a cone point of
+    the complex whose face indicator over all 2^d masks is ``flags``: the
+    flags agree at M and M ∪ {v} for every M, one comparison per axis. A
+    nonvoid cone has no reduced homology in any degree."""
+    for v in range(d):
+        if not avoid >> v & 1:
+            halves = flags.reshape(-1, 2, 1 << v)
+            if np.array_equal(halves[:, 0], halves[:, 1]):
+                return True
+    return False
+
+
 def degree_complex(I: MonomialIdeal, a: Sequence[int]) -> SimplicialComplex:
     """Δ_a(I): faces F ⊆ [d]∖G_a with x^{a⁺} not in project(I, F ∪ G_a).
 
@@ -301,8 +351,9 @@ def cohomology_dim_at(
     """dim_k H^i_m(R/I)_a = dim H~_{i-|G_a|-1}(Δ_a(I), k); 0 when the
     homology degree drops below -1 or Δ_a(I) is void (no empty face).
 
-    H~_q reads the faces of Δ_a(I) with at most q + 2 vertices: one frame
-    over them, and the complex is its full word.
+    A cone point of the corner flags gives 0 before any face is listed.
+    Otherwise H~_q reads the faces of Δ_a(I) with at most q + 2 vertices:
+    one frame over them, and the complex is its full word.
     """
     _require_not_unit(I)
     d = _validate_d(I.d)
@@ -310,7 +361,7 @@ def cohomology_dim_at(
     char = _validate_char(char)
     flags, g = _degree_flags(I, a)
     q = i - g.bit_count() - 1
-    if q < -1 or not flags[0]:
+    if q < -1 or not flags[0] or _cone_axis(flags, d, g):
         return 0
     frame = _FaceFrame(_frame_faces(flags, d, q + 2, g))
     return _word_homology((1 << len(frame.faces)) - 1, frame, [q], char).get(q, 0)

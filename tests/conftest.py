@@ -1,4 +1,5 @@
-"""Shared fixtures: seeded random ideal corpora and the cycle family."""
+"""Shared fixtures: seeded random ideal corpora, the cycle family, and the
+tables the table-text tests write."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from monocoh.monomial_core import MonomialIdeal, parse_ideal
+from monocoh.monomial_core import MonomialIdeal, krull_dimension, parse_ideal
+from monocoh.takayama import CohomologyTable, cohomology_tables
 
 
 def cycle_ideal(d: int) -> MonomialIdeal:
@@ -53,6 +55,67 @@ def corpus(seed: int, count: int, dims, **kw) -> list[MonomialIdeal]:
         d = int(rng.choice(dims))
         out.append(random_ideal(rng, d, **kw))
     return out
+
+
+PATH_D11 = ", ".join(f"x{j}^2*x{j + 1}" for j in range(1, 11))
+
+
+def rows_permuted(t: CohomologyTable, order) -> CohomologyTable:
+    return CohomologyTable(
+        i=t.i, char=t.char, a_plus=t.a_plus[order], g_masks=t.g_masks[order],
+        dims=t.dims[order], rho=t.rho)
+
+
+def text_lines(text: str) -> list[str]:
+    """Writer output cut after every JSON row and at every newline: a failed
+    comparison of two such lists names the first differing row, where
+    pytest would diff two long strings character by character."""
+    return text.replace("},{", "},\n{").split("\n")
+
+
+@pytest.fixture(scope="session")
+def writer_tables() -> list[CohomologyTable]:
+    """Scan tables over Q and F_2 (corpus ideals and an 11-variable ideal,
+    whose G's have two-digit indices), the same rows reversed and shuffled
+    through the constructor, ``from_dict`` tables listed out of order with
+    a⁺ near 2^62, and empty tables of every shape."""
+    rng = np.random.default_rng(20261020)
+    ideals = corpus(20261020, 12, (2, 3, 4, 5)) + [parse_ideal(PATH_D11, 11)]
+    scanned = [
+        t
+        for I in ideals
+        for char in (0, 2)
+        for t in cohomology_tables(I, range(krull_dimension(I) + 1), char).values()
+    ]
+    reordered = [
+        rows_permuted(t, order)
+        for t in scanned
+        if t.dims.size
+        for order in (slice(None, None, -1), rng.permutation(t.dims.size))
+    ]
+    big = 1 << 62
+    loaded = []
+    for k in range(6):
+        d = 3 + k
+        seen = {}
+        while len(seen) < 8 + k:
+            G = tuple(sorted(rng.choice(np.arange(1, d + 1), rng.integers(0, 3),
+                                        replace=False).tolist()))
+            a = tuple(0 if j + 1 in G else big - int(rng.integers(0, 4))
+                      if rng.random() < 0.3 else int(rng.integers(0, 12))
+                      for j in range(d))
+            seen[(G, a)] = int(rng.integers(1, big))
+        entries = [{"G": list(G), "a_plus": list(a), "dim": dim}
+                   for (G, a), dim in seen.items()]
+        loaded.append(CohomologyTable.from_dict(
+            {"i": k, "char": 0, "finite_length": False, "entries": entries}))
+    empty = [
+        CohomologyTable.from_dict({"i": 1, "char": 0, "entries": []}),
+        CohomologyTable(i=2, char=2, a_plus=np.zeros((0, 0), dtype=np.int64),
+                        g_masks=np.zeros(0, dtype=np.int64),
+                        dims=np.zeros(0, dtype=np.int64), rho=()),
+    ]
+    return scanned + reordered + loaded + empty
 
 
 def boundary_degree(

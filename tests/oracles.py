@@ -10,6 +10,7 @@ small inputs the tests feed in.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -498,3 +499,60 @@ def hochster_table_oracle(I: MonomialIdeal, i: int, char: int) -> dict:
             a_plus = (0,) * d
             entries[(tuple(sorted(G)), a_plus)] = dim
     return entries
+
+
+# ---------------------------------------------------------------------------
+# table text: every row decoded bit by bit, sorted in Python, written by
+# json.dumps and f-strings
+
+
+def reference_rows(table) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Every row of a table as (G, a⁺, dim), read off its arrays and sorted
+    by (|G|, G, a⁺)."""
+    d = table.a_plus.shape[1]
+    rows = [
+        (tuple(j + 1 for j in range(d) if g >> j & 1), tuple(a), dim)
+        for g, a, dim in zip(
+            table.g_masks.tolist(), table.a_plus.tolist(), table.dims.tolist()
+        )
+    ]
+    return sorted(rows, key=lambda row: (len(row[0]), row[0], row[1]))
+
+
+def reference_table_dict(table) -> dict:
+    rows = reference_rows(table)
+    return {
+        "i": table.i,
+        "char": table.char,
+        "finite_length": all(not G for G, _, _ in rows),
+        "entries": [
+            {"G": list(G), "a_plus": list(a), "dim": dim} for G, a, dim in rows
+        ],
+    }
+
+
+def reference_json(table) -> str:
+    return json.dumps(reference_table_dict(table), separators=(",", ":"))
+
+
+def reference_cohomology_output(tables, fmt: str, char: int) -> str:
+    """The stdout of ``monocoh cohomology`` (no ``--at``) for its tables,
+    given as ``(n, i, table)`` in the order the command computes them."""
+    if fmt == "json":
+        doc = [{"n": n, "table": reference_table_dict(t)} for n, _, t in tables]
+        return json.dumps(doc, separators=(",", ":")) + "\n"
+    lines = ["n,i,char,finite_length,G,a_plus,dim"] if fmt == "csv" else []
+    for n, i, t in tables:
+        rows = reference_rows(t)
+        fl = str(all(not G for G, _, _ in rows)).lower()
+        if fmt == "text":
+            lines.append(f"# n={n} i={i} char={char} finite_length={fl} "
+                         f"entries={len(rows)}")
+        for G, a, dim in rows:
+            if fmt == "csv":
+                g, ap = ";".join(map(str, G)), ";".join(map(str, a))
+                lines.append(f"{n},{i},{char},{fl},{g},{ap},{dim}")
+            else:
+                g, ap = ",".join(map(str, G)), ",".join(map(str, a))
+                lines.append(f"G={{{g}}} a+=({ap}) dim={dim}")
+    return "".join(line + "\n" for line in lines)

@@ -1,5 +1,6 @@
 """Command surface: formats, golden outputs, exit statuses, determinism."""
 
+import contextlib
 import gc
 import json
 import os
@@ -11,16 +12,39 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import monocoh.asymptotics as asy
 import monocoh.cli as cli
 import monocoh.takayama as tk
 from monocoh.errors import InternalConsistencyError
 from monocoh.monomial_core import parse_ideal
 from monocoh.takayama import CohomologyTable
 
+import oracles
+from conftest import PATH_D11, rows_permuted, text_lines
+
 GOLDEN = Path(__file__).parent / "golden"
 CYCLE5 = "x1*x3, x1*x4, x2*x4, x2*x5, x3*x5"
+
+
+@contextlib.contextmanager
+def within_alarm(seconds: int, message: str):
+    """Fail the test with ``message`` when the block runs past ``seconds``."""
+
+    def hang(signum, frame):
+        raise _Hang
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    except _Hang:
+        pytest.fail(message)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -129,23 +153,32 @@ class TestCohomology:
         # one corner read of the 2^20 masks and a frame of the faces with
         # at most 3 vertices, not a walk over every face of Δ_a
         ideal, at = "x1*x2, x2*x3", f"({','.join('0' * 20)})"
-
-        def hang(signum, frame):
-            raise _Hang
-
-        previous = signal.signal(signal.SIGALRM, hang)
-        signal.alarm(5)
-        try:
+        with within_alarm(5, "no answer within 5 s at d = 20"):
             dim = tk.cohomology_dim_at(parse_ideal(ideal, 20), 2, (0,) * 20)
             code, out = run_cli(capsys, "cohomology", "--ideal", ideal, "--d",
                                 "20", "--i", "2", "--at", at)
-        except _Hang:
-            pytest.fail("no answer within 5 s at d = 20")
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
         assert dim == 0
         assert code == 0 and out == f"n=1 i=2 a={at} dim=0\n"
+
+    def test_at_twenty_variables_cone_point_lists_no_face(self, capsys,
+                                                          monkeypatch):
+        # at i = 16 the frame would hold every face of up to 18 vertices;
+        # x4..x20 are cone points of the corner flags, which answer 0 first
+        ideal, at = "x1*x2, x2*x3", f"({','.join('0' * 20)})"
+        listed = []
+        frame_faces = tk._frame_faces
+
+        def recording(*args):
+            listed.append(args[1:])
+            return frame_faces(*args)
+
+        monkeypatch.setattr(tk, "_frame_faces", recording)
+        with within_alarm(5, "no answer within 5 s at d = 20, i = 16"):
+            dim = tk.cohomology_dim_at(parse_ideal(ideal, 20), 16, (0,) * 20)
+            code, out = run_cli(capsys, "cohomology", "--ideal", ideal, "--d",
+                                "20", "--i", "16", "--at", at)
+        assert dim == 0 and listed == []
+        assert code == 0 and out == f"n=1 i=16 a={at} dim=0\n"
 
     def test_at_length_mismatch(self, capsys):
         code, _ = run_cli(capsys, "cohomology", "--ideal", "x1*x2",
@@ -209,6 +242,78 @@ class TestCohomology:
                          "--at", "(0,0)", "--saturated"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
+
+
+class TestTableText:
+    """The cohomology command's JSON, CSV and text against the reference
+    writer of ``oracles``, on computed tables and on tables in any row
+    order."""
+
+    CASES = [
+        (CYCLE5, 5, "all", "1..3", (), 0),
+        (CYCLE5, 5, "1", "2..3", ("--saturated",), 2),
+        (PATH_D11, 11, "all", "1..1", (), 2),
+        ("x1^2, x2^2", 2, "all", "1..2", ("--saturated",), 0),
+        ("x1^2*x2, x2^3*x3", 3, "all", "1..2", (), 32003),
+    ]
+
+    @pytest.fixture(scope="class")
+    def computed(self) -> list[list[tuple[int, int, CohomologyTable]]]:
+        """Each case's tables as ``(n, i, table)``, in the command's order."""
+        out = []
+        for gens, d, i_arg, powers, extra, char in self.CASES:
+            I = parse_ideal(gens, d)
+            i_list = list(range(d + 1)) if i_arg == "all" else [int(i_arg)]
+            lo, hi = map(int, powers.split(".."))
+            tables = []
+            for n in range(lo, hi + 1):
+                J = asy._power_ideal(I, n, bool(extra))
+                by_i = ({i: cli._zero_table(i, char) for i in i_list} if J.is_unit
+                        else tk.cohomology_tables(J, i_list, char))
+                tables += [(n, i, t) for i, t in by_i.items()]
+            out.append(tables)
+        return out
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_computed_tables(self, capsys, monkeypatch, computed, fmt):
+        rng = np.random.default_rng(11)
+        scan = tk.cohomology_tables
+
+        def shuffled(*args, **kwargs):
+            return {i: rows_permuted(t, rng.permutation(t.dims.size))
+                    for i, t in scan(*args, **kwargs).items()}
+
+        for (gens, d, i_arg, powers, extra, char), tables in zip(self.CASES,
+                                                                 computed):
+            want = text_lines(oracles.reference_cohomology_output(tables, fmt, char))
+            argv = ["cohomology", "--ideal", gens, "--d", str(d), "--i", i_arg,
+                    "--powers", powers, "--char", str(char), *extra,
+                    "--format", fmt]
+            code, out = run_cli(capsys, *argv)
+            assert code == 0 and text_lines(out) == want
+            with monkeypatch.context() as m:
+                m.setattr(tk, "cohomology_tables", shuffled)
+                code, out = run_cli(capsys, *argv)
+            assert code == 0 and text_lines(out) == want
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_any_tables(self, capsys, monkeypatch, writer_tables, fmt):
+        # every kind of table the writer tests use, served three per power
+        # in place of the scan's
+        tables = writer_tables
+        chunks = [tables[k:k + 3] for k in range(0, len(tables), 3)]
+        served = iter(chunks)
+        monkeypatch.setattr(tk, "cohomology_tables",
+                            lambda J, i_list, *args, **kwargs:
+                            dict(zip(i_list, next(served))))
+        code, out = run_cli(capsys, "cohomology", "--ideal", "x1*x2", "--d", "2",
+                            "--i", "all", "--powers", f"1..{len(chunks)}",
+                            "--format", fmt)
+        tables = [(n, i, t) for n, chunk in enumerate(chunks, 1)
+                  for i, t in enumerate(chunk)]
+        assert code == 0
+        assert text_lines(out) == text_lines(
+            oracles.reference_cohomology_output(tables, fmt, 0))
 
 
 class TestSequenceCommands:

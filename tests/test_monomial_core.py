@@ -1,6 +1,10 @@
 """Parsing, ideal arithmetic, saturation, dimension."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +138,27 @@ class TestMinimalize:
                 for _ in range(16)]
         assert _minimal(rows) == oracles.brute_minimalize(rows)
         assert closed == []
+
+    def test_pairwise_route_leaves_numpy_ma_unloaded(self, monkeypatch):
+        # a repeated generator on the pairwise route: np.unique(axis=0)
+        # without return_index would import numpy.ma, about 10 ms in a
+        # fresh interpreter
+        ideal = "x1^9*x2, x1*x2^9, x1^9*x2"
+        closed = count_closed_boxes(monkeypatch)
+        assert parse_ideal(ideal, 2).exponent_matrix.tolist() == [[1, 9], [9, 1]]
+        assert closed == []
+        src = str(Path(monomial_core.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        script = (
+            "import sys, monocoh.cli\n"
+            "from monocoh.monomial_core import parse_ideal\n"
+            f"I = parse_ideal({ideal!r}, 2)\n"
+            "print(I.exponent_matrix.tolist(), 'numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[[1, 9], [9, 1]] False\n"
 
     def test_dense_rows_close_one_box(self, monkeypatch):
         # every cell of a 3x3x3 box: 27 cells against 27**2 comparisons

@@ -37,7 +37,13 @@ from monocoh.takayama import (
 )
 
 import oracles
-from conftest import boundary_degree, corpus, cycle_ideal
+from conftest import (
+    boundary_degree,
+    corpus,
+    cycle_ideal,
+    rows_permuted,
+    text_lines,
+)
 
 
 def entry_map(table: CohomologyTable) -> dict:
@@ -753,8 +759,9 @@ class TestColumnarTable:
             i=t.i, char=t.char, a_plus=t.a_plus, g_masks=t.g_masks,
             dims=changed, rho=t.rho) != t
 
-    def test_invariants_build_no_entries(self, monkeypatch):
+    def test_invariants_build_no_entries(self, monkeypatch, capsys):
         from monocoh import asymptotics as asy
+        from monocoh import cli
 
         built = []
         scan = tk.cohomology_tables
@@ -772,7 +779,50 @@ class TestColumnarTable:
         asy._row_for_power(cycle_ideal(5), 3, 1, True, 0, tk.DEFAULT_PATTERN_CAP)
         assert len(built) == 2 + 2 * (krull_dimension(J) + 1) + 1
         assert sum(t.dims.size for t in built) > 0
+        for t in built:
+            t.to_json()
+            t.sorted_rows()
+            assert t == rows_permuted(t, slice(None, None, -1))
         assert all("entries" not in vars(t) for t in built)
+        # the command writes its JSON, CSV and text from the arrays too
+        for fmt in ("json", "csv", "text"):
+            built.clear()
+            c5 = "x1*x3, x1*x4, x2*x4, x2*x5, x3*x5"
+            assert cli.main(["cohomology", "--ideal", c5, "--d", "5", "--i", "all",
+                             "--powers", "2..3", "--format", fmt]) == 0
+            assert capsys.readouterr().out
+            assert len(built) == 2 * 6 and sum(t.dims.size for t in built) > 0
+            assert all("entries" not in vars(t) for t in built)
+
+
+class TestTableWriter:
+    """``to_json`` and ``sorted_rows`` against the reference writer of
+    ``oracles``: rows read off the arrays, sorted in Python, written by
+    ``json.dumps``."""
+
+    def test_the_mix_covers_every_kind(self, writer_tables):
+        tables = writer_tables
+        assert len(tables) >= 200
+        assert any(t.char == 2 and t.dims.size for t in tables)
+        assert any(g >> 9 for t in tables for g in t.g_masks.tolist())
+        assert any(int(t.a_plus.max(initial=0)) >= 1 << 61 for t in tables)
+        assert sum(not t.dims.size for t in tables) >= 10
+
+    def test_json_and_rows_equal_the_reference(self, writer_tables):
+        for t in writer_tables:
+            assert text_lines(t.to_json()) == text_lines(oracles.reference_json(t))
+            assert [(G, tuple(a), dim) for G, a, dim in t.sorted_rows()] == (
+                oracles.reference_rows(t))
+            assert t.to_dict() == oracles.reference_table_dict(t)
+
+    def test_any_row_order_writes_the_same_bytes(self, writer_tables):
+        rng = np.random.default_rng(7)
+        for t in writer_tables:
+            shuffled = rows_permuted(t, rng.permutation(t.dims.size))
+            text = text_lines(t.to_json())
+            assert shuffled == t and text_lines(shuffled.to_json()) == text
+            back = CohomologyTable.from_json(t.to_json())
+            assert back == t and text_lines(back.to_json()) == text
 
 
 class TestScanMemory:
