@@ -119,10 +119,15 @@ class DichotomyVerdict:
         }
 
 
-def _power_ideal(I: MonomialIdeal, n: int, saturated: bool) -> MonomialIdeal:
-    """I^n, or its saturation when ``saturated``."""
-    J = power(I, n)
-    return saturate_irrelevant(J) if saturated else J
+def _power_ideal(
+    I: MonomialIdeal, n: int, saturated: bool, pattern_cap: int, i=None
+) -> MonomialIdeal:
+    """I^n, or its saturation when ``saturated``; a cap trip names n and i."""
+    try:
+        J = power(I, n, pattern_cap)
+        return saturate_irrelevant(J, pattern_cap) if saturated else J
+    except ResourceCapError as exc:
+        raise exc.for_power(n, i) from exc
 
 
 def _row_for_power(
@@ -133,7 +138,7 @@ def _row_for_power(
     char: int,
     pattern_cap: int,
 ) -> PowerRow:
-    J = _power_ideal(I, n, saturated)
+    J = _power_ideal(I, n, saturated, pattern_cap, i)
     if J.is_unit:
         # the power was irrelevant-primary: its saturation is the whole
         # ring and every module invariant degenerates
@@ -162,8 +167,9 @@ def _power_regularity(
     I: MonomialIdeal, n: int, char: int, pattern_cap: int
 ) -> int:
     """reg(R/I^n), a cap trip naming the power."""
+    J = _power_ideal(I, n, False, pattern_cap)
     try:
-        return regularity(power(I, n), char, pattern_cap=pattern_cap)
+        return regularity(J, char, pattern_cap=pattern_cap)
     except ResourceCapError as exc:
         raise exc.for_power(n) from exc
 

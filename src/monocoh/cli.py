@@ -108,10 +108,10 @@ def _add_common(p: argparse.ArgumentParser, powers_default: str) -> None:
         type=int,
         default=DEFAULT_PATTERN_CAP,
         help=(
-            "abort if a single table's clamped pattern boxes, prod(rho_j+1) "
-            "over j outside G summed over its negative supports G, hold more "
-            "cells than this (the term for empty G is the box of "
-            "prod(rho_j+1) cells that is scanned)"
+            "abort if a power's box (prod(n*rho_j+1) cells), a saturation's "
+            "box (prod(rho_j+1) cells) or a single table's clamped pattern "
+            "boxes (prod(rho_j+1) over j outside G, summed over its negative "
+            "supports G; G empty gives the scanned box) exceed this many cells"
         ),
     )
     p.add_argument(
@@ -216,7 +216,7 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
         a = _parse_degree_vector(args.at, args.d)
         results = []
         for n in range(lo, hi + 1):
-            J = asy._power_ideal(I, n, args.saturated)
+            J = asy._power_ideal(I, n, args.saturated, args.pattern_cap, args.i)
             for i in i_list:
                 dim = 0 if J.is_unit else tk.cohomology_dim_at(J, i, a, args.char)
                 results.append((n, i, dim))
@@ -237,7 +237,7 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
 
     buffered = []
     for n in range(lo, hi + 1):
-        J = asy._power_ideal(I, n, args.saturated)
+        J = asy._power_ideal(I, n, args.saturated, args.pattern_cap, args.i)
         try:
             if J.is_unit:
                 tables = {i: _zero_table(i, args.char) for i in i_list}

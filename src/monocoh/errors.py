@@ -24,18 +24,19 @@ class UnitIdealError(ValueError):
 
 
 class ResourceCapError(RuntimeError):
-    """Raised when a degree-pattern enumeration would exceed the configured cap."""
+    """Raised before a power or saturation box is allocated, or a table
+    scanned, when its cells or degree patterns (``required``) exceed ``cap``."""
 
     def __init__(self, message: str, required: int, cap: int):
         super().__init__(message)
         self.required = required
         self.cap = cap
 
-    def for_power(self, n: int) -> "ResourceCapError":
-        """The same error, its message prefixed with the power it hit."""
-        return ResourceCapError(
-            f"power n={n}: {self}", required=self.required, cap=self.cap
-        )
+    def for_power(self, n: int, i=None) -> "ResourceCapError":
+        """The same error, its message prefixed with the power it hit and,
+        when given, the cohomological degree i the power was built for."""
+        where = f"n={n}" if i is None else f"n={n}, i={i}"
+        return ResourceCapError(f"power {where}: {self}", self.required, self.cap)
 
 
 class InternalConsistencyError(RuntimeError):

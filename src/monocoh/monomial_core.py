@@ -27,13 +27,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import IdealSyntaxError, UnitIdealError
+from .errors import IdealSyntaxError, ResourceCapError, UnitIdealError
 
-# Boxes with at most this many cells use the grid route for powers,
-# minimalization and saturation; larger problems fall back to pairwise
-# comparisons. Equal to takayama.DEFAULT_PATTERN_CAP, so every power whose
-# table the pattern scan accepts is built as one box.
-_BOX_CELL_CAP = 10_000_000
+# The default bound on the cells of every box a computation allocates: the
+# power and saturation boxes here and the degree patterns of a table.
+DEFAULT_PATTERN_CAP = 10_000_000
 # Generator sums formed per step of the power box, at most: bounds the
 # temporary index array whatever the number of generators.
 _SUM_CHUNK = 1 << 20
@@ -111,7 +109,7 @@ def _minimal_rows(exps: np.ndarray) -> np.ndarray:
     """Divisibility-minimal rows, deduplicated, in ascending lex order.
 
     The route follows the cost: the membership box when it has at most
-    ``m * m`` cells (and at most ``_BOX_CELL_CAP``), else the ``m * m``
+    ``m * m`` cells (and at most ``DEFAULT_PATTERN_CAP``), else the ``m * m``
     pairwise comparison. Repeated rows mark the same box cell, so only the
     pairwise route, which needs distinct rows, deduplicates.
     """
@@ -119,7 +117,7 @@ def _minimal_rows(exps: np.ndarray) -> np.ndarray:
     if m <= 1:
         return exps
     maxs = exps.max(axis=0)
-    if _box_cells(maxs) <= min(m * m, _BOX_CELL_CAP):
+    if _box_cells(maxs) <= min(m * m, DEFAULT_PATTERN_CAP):
         return _box_generators(_closed_box(exps, tuple(maxs + 1)))
     # return_index keeps np.unique off np.ma.is_masked, whose lazy import
     # of numpy.ma would otherwise be paid by the first such call
@@ -139,6 +137,15 @@ def _closed_box(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _box_cells(maxs) -> int:
     """Cells of the box spanned by 0..maxs, in exact integer arithmetic."""
     return math.prod(int(x) + 1 for x in maxs)
+
+
+def _check_box(stage: str, maxs, cap: int) -> None:
+    """Raise ResourceCapError, before the box is allocated, when the box
+    spanned by 0..maxs has more than ``cap`` cells."""
+    cells = _box_cells(maxs)
+    if cells > cap:
+        raise ResourceCapError(
+            f"{stage} box of {cells} cells exceeds the cap {cap}", cells, cap)
 
 
 def _box_generators(box: np.ndarray) -> np.ndarray:
@@ -382,7 +389,9 @@ def project(I: MonomialIdeal, F: Iterable[int]) -> MonomialIdeal:
     return MonomialIdeal(I.d, exps)
 
 
-def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
+def power(
+    I: MonomialIdeal, n: int, pattern_cap: int = DEFAULT_PATTERN_CAP
+) -> MonomialIdeal:
     """I^n for n >= 1, built in one membership box of shape n*rho + 1.
 
     Every n-fold sum of generators lies in that box, and flat C-order
@@ -391,11 +400,10 @@ def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
     table over the box deduplicates them at every step, which bounds the
     work by the box, not by m^n. The n-fold sums are then closed upward
     once, and the result is that box cropped to its own rho + 1, which can
-    lie below n*rho: no generator list is built (see ``MonomialIdeal``). A
-    box over ``_BOX_CELL_CAP`` cells falls back to multiplying by the
-    generators n - 1 times, minimalizing each product.
+    lie below n*rho: no generator list is built (see ``MonomialIdeal``).
 
-    Raises ValueError when an exponent of I^n would not fit in int64.
+    Raises ValueError when an exponent of I^n would not fit in int64, and
+    then ResourceCapError when the box has more than ``pattern_cap`` cells.
     """
     if n < 1:
         raise ValueError("power requires n >= 1")
@@ -408,12 +416,7 @@ def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
                 f"exponent overflow: x{j + 1} reaches exponent {r}*{n} = "
                 f"{r * n} in I^{n}, beyond the int64 limit {_INT64_MAX}"
             )
-    if _box_cells(r * n for r in rho) > _BOX_CELL_CAP:
-        result = I
-        for _ in range(n - 1):
-            cand = (result._exps[:, None, :] + I._exps[None, :, :]).reshape(-1, I.d)
-            result = MonomialIdeal(I.d, cand)
-        return result
+    _check_box("power", (r * n for r in rho), pattern_cap)
     shape = tuple(r * n + 1 for r in rho)
     strides = np.array([math.prod(shape[j + 1 :]) for j in range(I.d)], dtype=np.int64)
     step = I._exps @ strides
@@ -431,17 +434,9 @@ def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
     return MonomialIdeal._from_box(box)
 
 
-def _intersect_many(ideals: list[MonomialIdeal]) -> MonomialIdeal:
-    """Intersection of nonzero ideals by minimalized pairwise lcms."""
-    d = ideals[0].d
-    cur = ideals[0]._exps
-    for J in ideals[1:]:
-        cand = np.maximum(cur[:, None, :], J._exps[None, :, :]).reshape(-1, d)
-        cur = _minimal_rows(cand)
-    return MonomialIdeal(d, cur)
-
-
-def saturate_irrelevant(I: MonomialIdeal) -> MonomialIdeal:
+def saturate_irrelevant(
+    I: MonomialIdeal, pattern_cap: int = DEFAULT_PATTERN_CAP
+) -> MonomialIdeal:
     """Saturation (I : m^infinity) with respect to m = (x1, ..., xd).
 
     A monomial x^b times every high power of m lands in I iff it does so
@@ -449,14 +444,12 @@ def saturate_irrelevant(I: MonomialIdeal) -> MonomialIdeal:
     exponent b with b_j raised to rho_j is in I (no generator exceeds rho_j
     there). On the membership box that is an AND, over j, of the box's top
     slice along axis j broadcast back over the axis, and the result is that
-    box cropped to its own rho + 1; no generator list is built. Boxes above
-    the cell cap intersect the d single-variable saturations
-    ``project(I, {j})`` instead.
+    box cropped to its own rho + 1; no generator list is built, and a
+    membership box over ``pattern_cap`` cells raises ResourceCapError.
     """
     if I.is_zero or I.is_unit:
         return I
-    if _box_cells(var_degree_bounds(I).rho) > _BOX_CELL_CAP:
-        return _intersect_many([project(I, (j,)) for j in range(1, I.d + 1)])
+    _check_box("saturation", var_degree_bounds(I).rho, pattern_cap)
     box = membership_box(I)
     sat = np.ones_like(box)
     for j in range(I.d):

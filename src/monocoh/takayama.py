@@ -41,6 +41,7 @@ import numpy as np
 from . import _kernels
 from .errors import InternalConsistencyError, ResourceCapError, UnitIdealError
 from .monomial_core import (
+    DEFAULT_PATTERN_CAP,
     MonomialIdeal,
     _corner_flags,
     _mask_sizes,
@@ -56,8 +57,6 @@ from .simplicial import (
     _validate_d,
     _word_homology,
 )
-
-DEFAULT_PATTERN_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -249,26 +248,44 @@ class CohomologyTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CohomologyTable":
-        patterns = [
-            DegreePattern(
-                a_plus=tuple(int(x) for x in e["a_plus"]),
-                G=tuple(int(g) for g in e["G"]),
-            )
-            for e in data["entries"]
-        ]
-        if len(set(patterns)) < len(patterns):
+        """The table of a ``to_dict`` payload, its rows in the listed order.
+
+        Raises ValueError unless every row has a⁺ of one width d <= 63,
+        G inside 1..d, a⁺ >= 0 and zero on G, and dim >= 1, and no
+        (G, a⁺) is listed twice.
+        """
+        entries = data["entries"]
+        widths = {len(e["a_plus"]) for e in entries}
+        d = widths.pop() if widths else 0
+        if widths or d > 63:
+            raise ValueError("every a_plus must have one width, at most 63")
+        sizes = [len(e["G"]) for e in entries]
+        try:
+            a_plus = np.array([e["a_plus"] for e in entries], dtype=np.int64)
+            dims = np.array([e["dim"] for e in entries], dtype=np.int64)
+            g = np.array([j for e in entries for j in e["G"]], dtype=np.int64)
+        except OverflowError:
+            raise ValueError("a table entry does not fit in int64") from None
+        a_plus = a_plus.reshape(len(entries), d)
+        # column d collects the G indices outside 1..d
+        on_g = np.zeros((len(entries), d + 1), dtype=bool)
+        on_g[np.repeat(np.arange(len(entries)), sizes),
+             np.where((g >= 1) & (g <= d), g - 1, d)] = True
+        bad = on_g[:, d] | (dims < 1) | (a_plus < 0).any(axis=1)
+        on_g = on_g[:, :d]
+        bad |= (on_g & (a_plus != 0)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"malformed table row {entries[int(bad.argmax())]}")
+        g_masks = on_g @ (1 << np.arange(d, dtype=np.int64))
+        rows = np.column_stack((g_masks, a_plus))
+        if np.unique(rows, axis=0, return_index=True)[1].size < len(entries):
             raise ValueError("a degree pattern is listed twice")
-        d = len(patterns[0].a_plus) if patterns else 0
         return cls(
             i=int(data["i"]),
             char=int(data["char"]),
-            a_plus=np.array([p.a_plus for p in patterns], dtype=np.int64).reshape(
-                len(patterns), d
-            ),
-            g_masks=np.array(
-                [sum(1 << (g - 1) for g in p.G) for p in patterns], dtype=np.int64
-            ),
-            dims=np.array([int(e["dim"]) for e in data["entries"]], dtype=np.int64),
+            a_plus=a_plus,
+            g_masks=g_masks,
+            dims=dims,
             rho=(),
         )
 
@@ -449,9 +466,8 @@ def cohomology_tables(
     vertices and edges are two bit ranges of the key, and one
     ``_FaceFrame`` over them lets ``_word_homology`` read every distinct
     face word: a graph needs no face list. Only the cells with a nonzero
-    dimension are decoded, from their flat index, into (G, a⁺) rows, and a
-    stable sort on (|G|, G) leaves them in the order (|G|, G, a⁺) of
-    ``sorted_rows``: C order already sorts a⁺ within one G.
+    dimension are decoded, from their flat index, into (G, a⁺) rows, left
+    in flat-index order: every reader orders them through ``_ordered_rows``.
 
     Raises ResourceCapError, naming the first i over ``pattern_cap``, before
     anything is scanned.
@@ -500,15 +516,9 @@ def cohomology_tables(
     on_g = coords == np.array(rho)
     bits = 1 << np.arange(d, dtype=np.int64)
     g_masks = on_g @ bits
-    # within one |G|, G ascends lexicographically as its bit-reversed mask
-    # descends
-    order = np.argsort(
-        (on_g.sum(axis=1) << d) - on_g @ bits[::-1], kind="stable"
-    )
     # a⁺_j < rho_j: the narrowest unsigned type holding max rho suffices
     a_plus = coords.astype(np.min_scalar_type(max(rho)))
     a_plus[on_g] = 0
-    a_plus, g_masks, row_of = a_plus[order], g_masks[order], row_of[order]
     tables = {}
     for i in i_list:
         dims = dims_u[k_of_i[i]][row_of]

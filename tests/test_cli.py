@@ -23,7 +23,7 @@ from monocoh.monomial_core import parse_ideal
 from monocoh.takayama import CohomologyTable
 
 import oracles
-from conftest import PATH_D11, rows_permuted, text_lines
+from conftest import PATH_D11, cycle_ideal, rows_permuted, text_lines
 
 GOLDEN = Path(__file__).parent / "golden"
 CYCLE5 = "x1*x3, x1*x4, x2*x4, x2*x5, x3*x5"
@@ -267,7 +267,7 @@ class TestTableText:
             lo, hi = map(int, powers.split(".."))
             tables = []
             for n in range(lo, hi + 1):
-                J = asy._power_ideal(I, n, bool(extra))
+                J = asy._power_ideal(I, n, bool(extra), tk.DEFAULT_PATTERN_CAP)
                 by_i = ({i: cli._zero_table(i, char) for i in i_list} if J.is_unit
                         else tk.cohomology_tables(J, i_list, char))
                 tables += [(n, i, t) for i, t in by_i.items()]
@@ -624,6 +624,22 @@ class TestSeededFuzz:
     # package, or ``monocoh <command>: error: ...`` from argparse
     ERROR_LINE = re.compile(r"(monocoh( \w+)?: )?error: ")
 
+    @staticmethod
+    def fixed_cases() -> list[tuple[list[str], int, int]]:
+        """(argv, exit status, CSV lines) of the commands run before the
+        seeded draws: the power boxes of C_7^10 (19,487,171 cells) and of
+        C_9^5 (10,077,696) are refused at the default cap and built under a
+        larger one."""
+        cases = []
+        for d, n, extra, lines in ((7, 10, [], 48049),
+                                   (9, 5, ["--saturated"], 3589)):
+            argv = ["cohomology", "--ideal", cycle_ideal(d).generators_str(),
+                    "--d", str(d), "--i", "1", "--powers", f"{n}..{n}",
+                    "--format", "csv", *extra]
+            cases += [(argv, 3, 0),
+                      (argv + ["--pattern-cap", "40000000"], 0, lines)]
+        return cases
+
     # dichotomy warns when no drawn power has finite length
     @pytest.mark.filterwarnings("ignore:no power in the computed range")
     def test_exit_codes_and_streams(self, capsys):
@@ -632,28 +648,33 @@ class TestSeededFuzz:
         def hang(signum, frame):
             raise _Hang
 
+        def run(argv: list[str]) -> tuple[int, str]:
+            signal.alarm(self.ALARM_S)
+            try:
+                code = cli.main(argv)
+            except _Hang:
+                pytest.fail(f"no exit within {self.ALARM_S} s: {argv}")
+            finally:
+                signal.alarm(0)
+            out, err = capsys.readouterr()
+            assert code in (0, 2, 3, 4), (argv, code, err)
+            if code == 2:
+                assert out == "", argv
+            if code:
+                last = err.rstrip("\n").rsplit("\n", 1)[-1]
+                assert self.ERROR_LINE.match(last), (argv, err)
+            if code == 3:
+                assert "exceeds the cap" in last, (argv, err)
+            return code, out
+
         previous = signal.signal(signal.SIGALRM, hang)
         codes = []
         try:
+            for argv, code, lines in self.fixed_cases():
+                got, out = run(argv)
+                assert (got, len(out.splitlines())) == (code, lines), argv
             for _ in range(self.CALLS):
-                argv = random_argv(rng)
-                signal.alarm(self.ALARM_S)
-                try:
-                    code = cli.main(argv)
-                except _Hang:
-                    pytest.fail(f"no exit within {self.ALARM_S} s: {argv}")
-                finally:
-                    signal.alarm(0)
-                out, err = capsys.readouterr()
-                codes.append(code)
-                assert code in (0, 2, 3, 4), (argv, code, err)
-                if code == 2:
-                    assert out == "", argv
-                if code:
-                    last = err.rstrip("\n").rsplit("\n", 1)[-1]
-                    assert self.ERROR_LINE.match(last), (argv, err)
-                if code == 3:
-                    assert "exceeds the cap" in last, (argv, err)
+                codes.append(run(random_argv(rng))[0])
         finally:
             signal.signal(signal.SIGALRM, previous)
         # the grammar reaches success, usage errors and the cap

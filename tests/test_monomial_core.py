@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations, product
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from monocoh import _kernels, monomial_core, takayama
-from monocoh.errors import IdealSyntaxError
+from monocoh.errors import IdealSyntaxError, ResourceCapError
 from monocoh.monomial_core import (
     MonomialIdeal,
     contains,
@@ -192,9 +193,11 @@ class TestPowerContains:
         I = parse_ideal("x1^4611686018427387904*x2", 2)
         with pytest.raises(ValueError, match="exponent overflow: x1"):
             power(I, 2)
-        # the bound is exact: 2 * (2**62 - 1) still fits in int64
+        # the bound is exact: 2 * (2**62 - 1) still fits in int64, so the
+        # power box's cell count refuses it, not the overflow
         J = parse_ideal("x1^4611686018427387903*x2", 2)
-        assert power(J, 2).exponent_matrix.tolist() == [[2**63 - 2, 2]]
+        with pytest.raises(ResourceCapError, match="power box of "):
+            power(J, 2)
 
     def test_contains_spec(self):
         I = parse_ideal("x1*x2", 2)
@@ -229,19 +232,7 @@ class TestProjectSaturate:
             assert oracles.saturate_by_colon_fixpoint(I) == got
 
     def test_colon_fixpoint_oracle_agrees(self, small_corpus):
-        # membership boxes under the cell cap: the one-box saturation
         self._check_against_colon_oracles(small_corpus[:15])
-
-    def test_colon_fixpoint_oracle_agrees_above_box_cap(
-        self, small_corpus, monkeypatch
-    ):
-        # every box over the cap: projections intersected by pairwise lcms
-        monkeypatch.setattr(monomial_core, "_BOX_CELL_CAP", 1)
-        self._check_against_colon_oracles(small_corpus[:15])
-        J = power(cycle_ideal(5), 2)
-        assert saturate_irrelevant(J).exponent_matrix.tolist() == (
-            oracles.saturate_by_colon_fixpoint(J).exponent_matrix.tolist()
-        )
 
     def test_cycle_saturation_prime_powers(self):
         for d in (5, 6):
@@ -266,8 +257,21 @@ class TestProjectSaturate:
 class TestPowerBox:
     """power and saturate_irrelevant build one box and hand it on."""
 
-    def test_box_cap_equals_pattern_cap(self):
-        assert monomial_core._BOX_CELL_CAP == takayama.DEFAULT_PATTERN_CAP
+    @pytest.mark.parametrize("stage, build, cells", [
+        # C_5^3 spans (3 * 1 + 1)^5 cells
+        ("power", lambda cap: power(cycle_ideal(5), 3, cap), 4**5),
+        # a generator-backed ideal with rho = (3, 4, 2)
+        ("saturation", lambda cap: saturate_irrelevant(
+            parse_ideal("x1^3*x2, x2^4*x3^2", 3), cap), 4 * 5 * 3),
+    ], ids=["power", "saturation"])
+    def test_cap_bounds_the_box(self, stage, build, cells):
+        # a cap equal to the box's cells passes, one below refuses it
+        assert build(cells) == build(takayama.DEFAULT_PATTERN_CAP)
+        with pytest.raises(ResourceCapError) as exc:
+            build(cells - 1)
+        assert (exc.value.required, exc.value.cap) == (cells, cells - 1)
+        assert str(exc.value) == (
+            f"{stage} box of {cells} cells exceeds the cap {cells - 1}")
 
     def test_carried_boxes_equal_fresh_boxes(self, small_corpus):
         for I in small_corpus:
@@ -293,15 +297,6 @@ class TestPowerBox:
             assert not box.flags.writeable
             with pytest.raises(ValueError):
                 box[(0,) * 5] = 1
-
-    def test_power_above_box_cap_matches_brute(self, small_corpus, monkeypatch):
-        monkeypatch.setattr(monomial_core, "_BOX_CELL_CAP", 1)
-        for I in small_corpus[:12]:
-            for n in (2, 3):
-                P = power(I, n)
-                assert {tuple(r) for r in P.exponent_matrix.tolist()} == (
-                    oracles.brute_power(I, n))
-                assert membership_box(P) is not membership_box(P)
 
     def test_power_saturate_table_close_one_box(self, monkeypatch):
         I = cycle_ideal(6)
@@ -369,17 +364,46 @@ class TestPowerBox:
         assert table.dims.size and extracted == []
 
     def test_cycle_c7_power_8_on_the_box_route(self, monkeypatch):
-        # 9^7 = 4.78M cells: one box, no pairwise minimalization or lcms
+        # 9^7 = 4.78M cells: one box, no pairwise minimalization
         def refuse(*args):
             raise AssertionError("pairwise route taken")
 
         I = cycle_ideal(7)
         monkeypatch.setattr(_kernels, "pairwise_minimal", refuse)
-        monkeypatch.setattr(monomial_core, "_intersect_many", refuse)
         P = power(I, 8)
         assert P.num_gens == 31185
         box = membership_box(saturate_irrelevant(P))
         assert np.array_equal(box, oracles.cycle_saturated_power_box(7, 8, box.shape))
+
+    def test_cycle_c9_power_5_above_the_default_cap(self):
+        # 6^9 = 10,077,696 power-box cells: refused at the default cap,
+        # built as one box under a larger one
+        with pytest.raises(ResourceCapError, match="power box of 10077696 "):
+            power(cycle_ideal(9), 5)
+        cap = 40_000_000
+        box = membership_box(saturate_irrelevant(power(cycle_ideal(9), 5, cap), cap))
+        assert np.array_equal(box, oracles.cycle_saturated_power_box(9, 5, box.shape))
+
+
+class TestBoxMemory:
+    def test_peak_is_at_most_4_bytes_per_power_box_cell(self):
+        # C_7^6 spans 7^7 = 823,543 power-box cells; its saturation reads
+        # the cropped box, no larger
+        cells = 7**7
+        saturate_irrelevant(power(cycle_ideal(5), 2))
+
+        def peak_of(build):
+            tracemalloc.start()
+            try:
+                result = build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * cells, (peak, cells)
+            return result
+
+        P = peak_of(lambda: power(cycle_ideal(7), 6))
+        peak_of(lambda: saturate_irrelevant(P))
 
 
 class TestRadicalBounds:

@@ -713,8 +713,8 @@ class TestColumnarTable:
         assert wide >= 10
 
     def test_scan_writes_rows_in_key_order(self, tables):
-        # the arrays leave the scan sorted by (|G|, G, a⁺) already, so
-        # sorted_rows only confirms the order; x4 and x2 are absent below
+        # the scan leaves its rows in flat-index order and sorted_rows puts
+        # the same rows in key order; x4 and x2 are absent below
         absent = [(parse_ideal("x1*x2^2, x2*x3", 4), 3),
                   (parse_ideal("x1^2*x3, x3^3", 3), 1)]
         extra = [
@@ -729,7 +729,7 @@ class TestColumnarTable:
         for t in tables + [t for _, t in extra]:
             G = tk._g_tuples(t.g_masks.tolist(), t.a_plus.shape[1])
             rows = list(zip(G, t.a_plus.tolist(), t.dims.tolist()))
-            assert rows == t.sorted_rows()
+            assert sorted(rows) == sorted(t.sorted_rows())
             wide += any(len(g) >= 2 for g in G)
         assert wide >= 10
 
@@ -744,6 +744,21 @@ class TestColumnarTable:
         row = {"G": [1], "a_plus": [0, 0], "dim": 1}
         data = {"i": 1, "char": 0, "finite_length": False, "entries": [row, row]}
         with pytest.raises(ValueError, match="listed twice"):
+            CohomologyTable.from_dict(data)
+
+    @pytest.mark.parametrize("rows", [
+        [{"G": [5], "a_plus": [0, 0], "dim": 1}],
+        [{"G": [0], "a_plus": [0, 0], "dim": 1}],
+        [{"G": [], "a_plus": [0, 0], "dim": 0}],
+        [{"G": [], "a_plus": [0, 0], "dim": -2}],
+        [{"G": [], "a_plus": [-3, 0], "dim": 1}],
+        [{"G": [], "a_plus": [1, 0], "dim": 1},
+         {"G": [], "a_plus": [1], "dim": 1}],
+    ], ids=["g-above-d", "g-zero", "dim-zero", "dim-negative",
+            "a-plus-negative", "ragged"])
+    def test_from_dict_rejects_a_malformed_row(self, rows):
+        data = {"i": 1, "char": 0, "finite_length": True, "entries": rows}
+        with pytest.raises(ValueError, match="malformed table row|one width"):
             CohomologyTable.from_dict(data)
 
     def test_equality_ignores_row_order(self, tables):
