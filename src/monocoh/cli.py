@@ -1,8 +1,9 @@
 """Command-line surface: batch computation with text, JSON, and CSV output.
 
-Sequence commands stream one CSV row per power as it is computed; JSON
-output is buffered and emitted once at the end. For a fixed command line
-the output is byte-identical across runs.
+CSV output streams each power's rows as that power is computed, and so
+does ``cohomology``'s text; JSON output, and the text of the sequence
+commands, is buffered and emitted once at the end. For a fixed command
+line the output is byte-identical across runs.
 
 Exit status: 0 success, 2 usage or parse error, 3 resource cap exceeded,
 4 internal consistency violation.
@@ -214,25 +215,23 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
     i_list = _requested_is(args, args.d)
     if args.at is not None:
         a = _parse_degree_vector(args.at, args.d)
+        row = (f"%d,%d,{args.char},{';'.join(map(str, a))},%d" if args.fmt == "csv"
+               else f"n=%d i=%d a=({','.join(map(str, a))}) dim=%d")
         results = []
         for n in range(lo, hi + 1):
             J = asy._power_ideal(I, n, args.saturated, args.pattern_cap, args.i)
-            for i in i_list:
-                dim = 0 if J.is_unit else tk.cohomology_dim_at(J, i, a, args.char)
-                results.append((n, i, dim))
+            dims = [(i, 0 if J.is_unit else tk.cohomology_dim_at(J, i, a, args.char))
+                    for i in i_list]
+            if args.fmt == "json":
+                results += [{"n": n, "i": i, "a": list(a), "dim": dim}
+                            for i, dim in dims]
+                continue
+            if args.fmt == "csv" and n == lo:
+                # after the first power, so a cap trip leaves stdout empty
+                _emit("n,i,char,a,dim")
+            _emit("\n".join(row % (n, i, dim) for i, dim in dims))
         if args.fmt == "json":
-            _emit(json.dumps(
-                [{"n": n, "i": i, "a": list(a), "dim": dim}
-                 for n, i, dim in results],
-                separators=(",", ":")))
-        elif args.fmt == "csv":
-            _emit("n,i,char,a,dim")
-            for n, i, dim in results:
-                _emit(f"{n},{i},{args.char},"
-                      f"{';'.join(str(v) for v in a)},{dim}")
-        else:
-            for n, i, dim in results:
-                _emit(f"n={n} i={i} a=({','.join(str(v) for v in a)}) dim={dim}")
+            _emit(json.dumps(results, separators=(",", ":")))
         return 0
 
     buffered = []

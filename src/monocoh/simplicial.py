@@ -1,9 +1,10 @@
 """Simplicial complexes on vertex set [d] and their reduced homology.
 
-Complexes are stored by facets (inclusion-maximal faces) as bitmasks, with
-vertex j occupying bit j-1. Three kinds are distinguished: the void complex
-(no faces at all), the irrelevant complex (only the empty face), and
-ordinary complexes. The empty face is the unique (-1)-cell of reduced chain
+A complex is held as its face indicator over all 2^d bitmasks, vertex j
+occupying bit j-1: the same {0,1}^d box as a corner of a membership box.
+Its facets (inclusion-maximal faces) are read off that box. Three kinds
+are distinguished: the void complex (no faces at all), the irrelevant
+complex (only the empty face), and ordinary complexes. The empty face is the unique (-1)-cell of reduced chain
 complexes, so the irrelevant complex has H~_{-1} of dimension 1 and the
 void complex has no homology in any degree.
 
@@ -36,8 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import UnitIdealError
-from .monomial_core import MAX_VARIABLES, MonomialIdeal, _corner_flags
+from .monomial_core import MAX_VARIABLES, MonomialIdeal, _corner_flags, _mask_sizes
 
 
 # Largest accepted prime characteristic. Elimination is exact in Python
@@ -75,57 +75,73 @@ def _validate_d(d: int) -> int:
 
 
 class SimplicialComplex:
-    """A simplicial complex on {1..d}, stored by facet bitmasks. Immutable.
+    """A simplicial complex on {1..d}, held as its face indicator. Immutable.
 
-    ``facet_masks == ()`` encodes the void complex and ``(0,)`` the
-    irrelevant complex; anything else is ordinary. Faces are implicit by
-    downward closure.
+    The indicator is a read-only bool array over all 2^d masks, down-closed:
+    entry m is True iff the mask m is a face. No face at all is the void
+    complex and the empty face alone the irrelevant complex; anything else
+    is ordinary. The facets are read off the indicator when asked for.
     """
 
-    __slots__ = ("d", "_facets")
+    __slots__ = ("d", "_flags")
 
-    def __init__(self, d: int, facet_masks: Iterable[int]):
-        object.__setattr__(self, "d", _validate_d(d))
-        object.__setattr__(self, "_facets", tuple(sorted(int(m) for m in facet_masks)))
+    def __init__(self, d: int, masks: Iterable[int]):
+        """The complex whose faces are the given masks and all their
+        subsets; ValueError for a mask outside 0 .. 2^d - 1."""
+        d = _validate_d(d)
+        marks = [int(m) for m in masks]
+        if marks and not (min(marks) >= 0 and max(marks) >> d == 0):
+            raise ValueError(f"a face mask lies outside 0..{(1 << d) - 1}")
+        face = np.zeros(1 << d, dtype=np.uint8)
+        face[marks] = 1
+        # reshaped to (2,)*d, vertex j is axis d - j; flipped along every
+        # axis, the downward closure is the upward one
+        _kernels.upward_close(np.flip(face.reshape((2,) * d)))
+        self._set(d, face.view(bool))
+
+    @classmethod
+    def _from_flags(cls, d: int, flags: np.ndarray) -> "SimplicialComplex":
+        """Trusted constructor: ``flags`` is already a down-closed bool
+        indicator over all 2^d masks, and is kept as it is."""
+        obj = object.__new__(cls)
+        obj._set(d, flags)
+        return obj
+
+    def _set(self, d: int, flags: np.ndarray) -> None:
+        flags.setflags(write=False)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "_flags", flags)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
 
     @property
     def is_void(self) -> bool:
-        return not self._facets
+        return not self._flags[0]
 
     @property
     def is_irrelevant(self) -> bool:
-        return self._facets == (0,)
+        # down-closed, a lone face is the empty one
+        return np.count_nonzero(self._flags) == 1
 
     @property
     def facets(self) -> tuple[tuple[int, ...], ...]:
-        """Facets as sorted 1-based vertex tuples, lexicographically ordered."""
-        return tuple(_mask_to_vertices(m) for m in self._facets)
+        """Facets as sorted 1-based vertex tuples, in ascending mask order."""
+        return tuple(_mask_to_vertices(m) for m in _flag_facets(self._flags, self.d))
 
     def face_masks(self) -> frozenset[int]:
-        """All faces (downward closure of the facets) as bitmasks."""
-        out: set[int] = set()
-        for f in self._facets:
-            s = f
-            while True:
-                out.add(s)
-                if s == 0:
-                    break
-                s = (s - 1) & f
-        return frozenset(out)
+        """All faces as bitmasks."""
+        return frozenset(np.flatnonzero(self._flags).tolist())
 
     def contains_face(self, vertices: Iterable[int]) -> bool:
-        mask = _vertices_to_mask(self.d, vertices)
-        return any((mask & f) == mask for f in self._facets)
+        return bool(self._flags[_vertices_to_mask(self.d, vertices)])
 
     @property
     def dim(self) -> int:
-        """Max facet size minus 1; -1 for irrelevant, -2 for void."""
+        """Max face size minus 1; -1 for irrelevant, -2 for void."""
         if self.is_void:
             return -2
-        return max(m.bit_count() for m in self._facets) - 1
+        return int(_mask_sizes(self.d)[self._flags].max()) - 1
 
     def text_form(self) -> str:
         """CLI text rendering: one facet line of comma-separated vertices;
@@ -140,11 +156,11 @@ class SimplicialComplex:
         return (
             isinstance(other, SimplicialComplex)
             and self.d == other.d
-            and self._facets == other._facets
+            and np.array_equal(self._flags, other._flags)
         )
 
     def __hash__(self) -> int:
-        return hash((self.d, self._facets))
+        return hash((self.d, self._flags.tobytes()))
 
     def __repr__(self) -> str:
         if self.is_void:
@@ -179,56 +195,34 @@ def _vertices_to_mask(d: int, vertices: Iterable[int]) -> int:
     return mask
 
 
-def _antichain_max(masks: set[int]) -> list[int]:
-    out = []
-    for m in masks:
-        if not any(m != f and (m & f) == m for f in masks):
-            out.append(m)
-    return sorted(out)
-
-
 def from_facets(d: int, faces: Iterable[Iterable[int]]) -> SimplicialComplex:
-    """Build a complex from candidate faces, keeping the maximal ones.
+    """Build a complex from candidate faces, as vertex tuples.
 
     No candidates at all give the void complex; a lone empty face gives the
     irrelevant complex.
     """
     d = _validate_d(d)
-    masks = {_vertices_to_mask(d, f) for f in faces}
-    if not masks:
-        return SimplicialComplex(d, ())
-    return SimplicialComplex(d, _antichain_max(masks))
-
-
-def _face_flags(d: int, K: SimplicialComplex) -> np.ndarray:
-    """Boolean face indicator of K over all 2^d bitmasks: entry m is True
-    iff the face mask m (bit j-1 for vertex j) is a face. Reshaped to
-    (2,)*d, vertex j is axis d - j; the facets are marked there and closed
-    downward, as the upward closure of the box flipped along every axis."""
-    face = np.zeros(1 << d, dtype=np.uint8)
-    face[list(K._facets)] = 1
-    _kernels.upward_close(np.flip(face.reshape((2,) * d)))
-    return face.view(bool)
+    return SimplicialComplex(d, [_vertices_to_mask(d, f) for f in faces])
 
 
 def _flag_facets(flags: np.ndarray, d: int) -> list[int]:
-    """The facet masks of the complex whose faces are the set entries of a
-    down-closed indicator over all 2^d masks. Reshaped to (2,)*d and flipped
-    along every axis the indicator is up-closed, cell p standing for the
-    mask (2^d - 1) ^ p, and its minimal cells are the facets; no face at all
-    gives no facet."""
+    """The facet masks, ascending, of the complex whose faces are the set
+    entries of a down-closed indicator over all 2^d masks. Reshaped to
+    (2,)*d and flipped along every axis the indicator is up-closed, cell p
+    standing for the mask (2^d - 1) ^ p, and its minimal cells are the
+    facets; no face at all gives no facet."""
     top = (1 << d) - 1
     cells = np.flatnonzero(_kernels.minimal_cells(np.flip(flags.reshape((2,) * d))))
-    return [top ^ p for p in cells.tolist()]
+    return [top ^ p for p in cells[::-1].tolist()]
 
 
 def stanley_reisner_complex(I: MonomialIdeal) -> SimplicialComplex:
     """The complex whose faces F satisfy prod_{j in F} x_j not in sqrt(I).
 
-    Its faces are the corner of the membership box at 0 (see
-    ``_corner_flags``), and ``_flag_facets`` reads its facets. The
-    zero ideal gives the full simplex; the unit ideal forces even the empty
-    face out, so the void complex is returned with a warning.
+    Its face indicator is the corner of the membership box at 0 (see
+    ``_corner_flags``). The zero ideal gives the full simplex; the unit
+    ideal forces even the empty face out, so the complex is void, with a
+    warning.
     """
     d = _validate_d(I.d)
     if I.is_unit:
@@ -237,22 +231,21 @@ def stanley_reisner_complex(I: MonomialIdeal) -> SimplicialComplex:
             "complex is void",
             stacklevel=2,
         )
-        return SimplicialComplex(d, ())
-    return SimplicialComplex(d, _flag_facets(_corner_flags(I, (0,) * d), d))
+    return SimplicialComplex._from_flags(d, _corner_flags(I, (0,) * d))
 
 
 def stanley_reisner_ideal(K: SimplicialComplex) -> MonomialIdeal:
     """Squarefree ideal generated by the minimal non-faces of K.
 
-    The non-faces of ``_face_flags`` form an up-closed (2,)*d box; with its
-    axes reversed, so that axis j-1 is x_j, it is the ideal's membership
-    box, whose minimal cells are the minimal non-faces. Every subset of [d]
-    a face gives the zero ideal.
+    The non-faces form an up-closed (2,)*d box; with its axes reversed, so
+    that axis j-1 is x_j, it is the ideal's membership box, whose minimal
+    cells are the minimal non-faces. Every subset of [d] a face gives the
+    zero ideal.
     """
     if K.is_void:
         raise ValueError("the void complex has no Stanley-Reisner ideal")
     d = K.d
-    nonface = ~_face_flags(d, K)
+    nonface = ~K._flags
     if not nonface.any():
         return MonomialIdeal(d)
     return MonomialIdeal._from_box(nonface.view(np.uint8).reshape((2,) * d).T)
@@ -307,6 +300,16 @@ def _has_cone_point(
             if not apex:
                 return False
     return apex != 0
+
+
+def _frame_faces(flags: np.ndarray, d: int, top: int, avoid: int) -> list[int]:
+    """The nonempty faces of a face indicator over all 2^d masks that have
+    at most ``top`` vertices and none in the mask ``avoid``, ordered by size
+    (ties in mask order): the face list of a ``_FaceFrame``."""
+    sizes = _mask_sizes(d)
+    faces = np.flatnonzero(flags & (sizes <= top))
+    faces = faces[(faces != 0) & ((faces & avoid) == 0)]
+    return faces[np.argsort(sizes[faces], kind="stable")].tolist()
 
 
 class _FaceFrame:
@@ -459,8 +462,13 @@ def homology_dim_single(face_masks: Iterable[int], q: int, char: int) -> int:
 
 
 def reduced_homology_dims(K: SimplicialComplex, char: int) -> HomologyProfile:
-    """Reduced homology dimensions of K over Q (char 0) or F_p (char p)."""
+    """Reduced homology dimensions of K over Q (char 0) or F_p (char p): one
+    frame over K's nonempty faces, and K is its full word."""
     char = _validate_char(char)
     if K.is_void:
         return HomologyProfile(char=char, dims={})
-    return HomologyProfile(char=char, dims=homology_dims_from_masks(K.face_masks(), char))
+    frame = _FaceFrame(_frame_faces(K._flags, K.d, K.d, 0))
+    qs = list(range(-1, K.dim + 1))
+    return HomologyProfile(
+        char=char, dims=_word_homology((1 << len(frame.faces)) - 1, frame, qs, char)
+    )

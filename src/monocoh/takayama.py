@@ -44,7 +44,6 @@ from .monomial_core import (
     DEFAULT_PATTERN_CAP,
     MonomialIdeal,
     _corner_flags,
-    _mask_sizes,
     krull_dimension,
     membership_box,
     var_degree_bounds,
@@ -52,7 +51,7 @@ from .monomial_core import (
 from .simplicial import (
     SimplicialComplex,
     _FaceFrame,
-    _flag_facets,
+    _frame_faces,
     _validate_char,
     _validate_d,
     _word_homology,
@@ -227,18 +226,12 @@ class CohomologyTable:
         return sep.join([template] * rows) % tuple(cells.ravel().tolist())
 
     def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "char": self.char,
-            "finite_length": self.finite_length,
-            "entries": [
-                {"G": list(G), "a_plus": a, "dim": dim}
-                for G, a, dim in self.sorted_rows()
-            ],
-        }
+        """The table as ``{"i", "char", "finite_length", "entries"}``, each
+        entry ``{"G", "a_plus", "dim"}``: ``to_json``, parsed."""
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """``to_dict`` as compact JSON, written straight from the columns."""
+        """The table as compact JSON, written straight from the columns."""
         return '{"i":%d,"char":%d,"finite_length":%s,"entries":[%s]}' % (
             self.i,
             self.char,
@@ -327,16 +320,6 @@ def _degree_flags(I: MonomialIdeal, a: Sequence[int]) -> tuple[np.ndarray, int]:
     return _corner_flags(I, low), sum(1 << j for j, x in enumerate(a) if x < 0)
 
 
-def _frame_faces(flags: np.ndarray, d: int, top: int, avoid: int) -> list[int]:
-    """The nonempty faces of a face indicator over all 2^d masks that have
-    at most ``top`` vertices and none in the mask ``avoid``, ordered by size
-    (ties in mask order): the face list of a ``_FaceFrame``."""
-    sizes = _mask_sizes(d)
-    faces = np.flatnonzero(flags & (sizes <= top))
-    faces = faces[(faces != 0) & ((faces & avoid) == 0)]
-    return faces[np.argsort(sizes[faces], kind="stable")].tolist()
-
-
 def _cone_axis(flags: np.ndarray, d: int, avoid: int) -> bool:
     """True when some vertex v outside the mask ``avoid`` is a cone point of
     the complex whose face indicator over all 2^d masks is ``flags``: the
@@ -353,13 +336,15 @@ def _cone_axis(flags: np.ndarray, d: int, avoid: int) -> bool:
 def degree_complex(I: MonomialIdeal, a: Sequence[int]) -> SimplicialComplex:
     """Δ_a(I): faces F ⊆ [d]∖G_a with x^{a⁺} not in project(I, F ∪ G_a).
 
-    Every facet of the corner flags contains G_a, and XORing it out leaves
-    a facet of Δ_a(I). Void when the empty face itself fails.
+    The corner flags are constant along G_a, so mask m is a face when it
+    avoids G_a and the flags hold at m ∪ G_a. Void when the empty face
+    itself fails.
     """
     _require_not_unit(I)
     d = _validate_d(I.d)
     flags, g = _degree_flags(I, a)
-    return SimplicialComplex(d, [f ^ g for f in _flag_facets(flags, d)])
+    m = np.arange(1 << d)
+    return SimplicialComplex._from_flags(d, flags[m | g] & (m & g == 0))
 
 
 def cohomology_dim_at(

@@ -466,6 +466,20 @@ class TestExitCodes:
                             "--i", "1", "--powers", "1..4", "--format", "csv")
         assert code == 0 and out == "".join(full)
 
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_at_cap_keeps_earlier_rows(self, capsys, fmt):
+        # C_5^2 has 243 cells and C_5^3 1,024: the rows of n = 1, 2 stream
+        # out before the trip, as the uncapped run prints them
+        argv = ["cohomology", "--ideal", CYCLE5, "--d", "5", "--i", "1",
+                "--at", "(0,0,0,0,0)", "--format", fmt]
+        code = cli.main(argv + ["--powers", "1..4", "--pattern-cap", "400"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: power n=3, i=1: ")
+        code, out = run_cli(capsys, *argv, "--powers", "1..2")
+        assert code == 0 and len(out.splitlines()) == (3 if fmt == "csv" else 2)
+        assert captured.out == out
+
     @pytest.mark.parametrize("i", ["0", "2"])
     def test_dichotomy_csv_checks_i_before_any_row(self, capsys, i):
         code = cli.main(["dichotomy", "--ideal", "x1*x2", "--d", "2",

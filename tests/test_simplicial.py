@@ -68,15 +68,34 @@ class TestComplexObject:
         assert K.facets == ((1, 2), (3, 4))
 
     def test_face_masks_downward_closed(self):
+        # seeded candidate lists, with repeats and non-maximal candidates,
+        # against a brute downward closure; from d = 10 on the (2,)*d face
+        # indicator holds 512 cells per step, so ``upward_close`` closes it
+        # by slice maxima
         rng = np.random.default_rng(12)
-        for _ in range(50):
-            K = random_complex(rng, int(rng.integers(2, 7)))
-            masks = K.face_masks()
-            for m in masks:
-                sub = m
-                while sub:
-                    sub = (sub - 1) & m
-                    assert sub in masks
+        wide = 0
+        for _ in range(60):
+            d = int(rng.integers(1, 13))
+            cands = [
+                tuple(sorted(int(v) + 1 for v in rng.choice(
+                    d, size=int(rng.integers(0, d + 1)), replace=False)))
+                for _ in range(int(rng.integers(0, 6)))
+            ]
+            cands += [c[1:] for c in cands if c] + cands[:2]
+            faces = {frozenset(sub) for c in cands
+                     for r in range(len(c) + 1) for sub in combinations(c, r)}
+            masks = {sum(1 << (v - 1) for v in f) for f in faces}
+            K = from_facets(d, cands)
+            assert K.face_masks() == masks
+            assert {frozenset(f) for f in K.facets} == oracles.brute_facets(d, faces)
+            facet_masks = [sum(1 << (v - 1) for v in f) for f in K.facets]
+            assert facet_masks == sorted(facet_masks)
+            assert K.dim == max((len(f) - 1 for f in faces), default=-2)
+            for m in range(1 << d):
+                vertices = [j + 1 for j in range(d) if m >> j & 1]
+                assert K.contains_face(vertices) == (m in masks)
+            wide += d >= 10
+        assert wide >= 10, wide
 
     def test_contains_face(self):
         K = from_facets(3, [(1, 2)])
@@ -85,8 +104,27 @@ class TestComplexObject:
 
     def test_from_facets_conventions(self):
         assert from_facets(3, [(1, 2), (2, 3), (1,)]).facets == ((1, 2), (2, 3))
+        # ascending mask order, not lexicographic: {2} is 0b010, {1,3} 0b101
+        assert from_facets(3, [(1, 3), (2,)]).facets == ((2,), (1, 3))
         assert from_facets(2, []).is_void
         assert from_facets(2, [()]).is_irrelevant
+
+    @pytest.mark.parametrize("mask", [8, -1, 1 << 64])
+    def test_mask_outside_the_box_is_rejected(self, mask):
+        with pytest.raises(ValueError):
+            SimplicialComplex(3, [mask])
+
+    def test_constructor_closes_downward(self):
+        K = SimplicialComplex(3, [1, 3])
+        assert K == SimplicialComplex(3, [3]) and K.facets == ((1, 2),)
+        assert hash(K) == hash(SimplicialComplex(3, [3]))
+        assert K != SimplicialComplex(4, [3]) and K != SimplicialComplex(3, [5])
+
+    def test_face_indicator_is_read_only(self):
+        for K in (SimplicialComplex(3, [3]), stanley_reisner_complex(cycle_ideal(5)),
+                  takayama.degree_complex(cycle_ideal(5), (-1, 0, 0, 0, 0))):
+            with pytest.raises(ValueError):
+                K._flags[0] = False
 
 
 class TestStanleyReisner:
@@ -164,7 +202,7 @@ class TestSubsetLattice:
     """Faces, facets, non-faces and Krull dimension, read off {0,1}^d boxes,
     against frozenset oracles. Square-free boxes of d >= 10 variables hold
     at least 512 cells per step on every axis, so ``upward_close`` closes
-    them by slice maxima, also on the flipped view of ``_face_flags``;
+    them by slice maxima, also on the flipped view of a complex's face indicator;
     smaller ones by accumulation."""
 
     def test_against_frozenset_oracles(self):

@@ -21,6 +21,7 @@ from monocoh.monomial_core import (
 )
 from monocoh.simplicial import stanley_reisner_complex
 from monocoh.takayama import (
+    DEFAULT_PATTERN_CAP,
     CohomologyTable,
     DegreePattern,
     ExtendedDegree,
@@ -466,6 +467,22 @@ class TestOneScan:
         with pytest.raises(ResourceCapError, match="i=1 exceeds the cap 100"):
             cohomology_tables(I, range(6), 0, pattern_cap=100)
         assert scanned == []
+
+    def test_default_cap_counts_the_wide_faces(self, monkeypatch):
+        # x1*...*x20 has a box of 2^20 cells, under the default cap, but
+        # sum_{|G| <= 5} C(20, |G|) 2^(20 - |G|) patterns at i = 5; a cap on
+        # cells alone would scan 60,459 candidate faces, one key bit each
+        I = MonomialIdeal(20, np.ones((1, 20), dtype=np.int64))
+        required = sum(math.comb(20, g) << (20 - g) for g in range(6))
+        assert 1 << 20 < DEFAULT_PATTERN_CAP < required == 1_036_320_768
+        scanned = []
+        monkeypatch.setattr(
+            _kernels, "scan_face_masks", lambda *a, **k: scanned.append(a))
+        with pytest.raises(ResourceCapError) as exc:
+            cohomology_tables(I, [5])
+        assert exc.value.required == required
+        assert exc.value.cap == DEFAULT_PATTERN_CAP
+        assert "i=5" in str(exc.value) and scanned == []
 
     def test_boundary_degrees_vanish(self, small_corpus):
         # the scan skips every degree with a_j >= rho_j for some j outside
