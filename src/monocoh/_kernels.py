@@ -127,10 +127,13 @@ def scan_face_masks(
     uint16 up to 16, uint32 up to 32, else as many uint64 words as needed.
 
     Every face is written over the whole box, so that each write has a
-    contiguous destination. The faces that share their last axis ``m`` are
-    first gathered on the top slab of ``m`` and then written together along
-    ``m``. Afterwards each top slab clears the faces that meet its axis, and
-    every widest face.
+    contiguous destination. The cells outside the ideal are found once, as
+    0/1 bytes; a face's bit is those bytes at its probes, widened to the
+    word type by the one shift that moves them into place. The faces that
+    share their last axis ``m`` are first gathered on the top slab of ``m``
+    and then written together along ``m``. Afterwards each top slab clears
+    the faces that meet its axis, and every widest face, by one mask per
+    slab.
     """
     top = max_i + 1
     nf = len(faces)
@@ -146,13 +149,13 @@ def scan_face_masks(
     field = box * np.uint8(top)
     for slab in slabs:
         field[slab] += 1
-    field[field > top] = top
+    np.minimum(field, top, out=field)
     w, shift = divmod(nf, 64)
-    keys[..., w] = field
-    keys[..., w] <<= word.type(shift)
+    np.left_shift(field, shift, out=keys[..., w], dtype=word)
     if shift + top.bit_length() > 64:
         keys[..., w + 1] = field >> np.uint8(64 - shift)
-    cleared = np.zeros((box.ndim, keys.shape[-1]), dtype=word)
+    live = (box == 0).view(np.uint8)
+    cleared = [0] * box.ndim
     by_last: dict[int, list[int]] = {}
     for f_i, f in enumerate(faces):
         by_last.setdefault(f[-1], []).append(f_i)
@@ -160,16 +163,18 @@ def scan_face_masks(
         acc = np.zeros(keys[slabs[m]].shape, dtype=word)
         for f_i in group:
             f = faces[f_i]
-            w, shift = divmod(f_i, 64)
             for j in range(box.ndim) if len(f) == top else f:
-                cleared[j, w] |= word.type(1) << word.type(shift)
+                cleared[j] |= 1 << f_i
             src = tuple(slice(-1, None) if j in f else slice(None)
                         for j in range(box.ndim))
-            acc[..., w] |= (box[src] == 0).astype(word) << word.type(shift)
+            w, shift = divmod(f_i, 64)
+            acc[..., w] |= np.left_shift(live[src], shift, dtype=word)
         keys |= acc
+    full = (1 << 8 * word.itemsize) - 1
     for slab, bits in zip(slabs, cleared):
-        if bits.any():
-            keys[slab] &= ~bits
+        if bits:
+            words = [bits >> (64 * w) & full for w in range(keys.shape[-1])]
+            keys[slab] &= ~np.array(words, dtype=word)
     return keys.reshape(-1, keys.shape[-1])
 
 

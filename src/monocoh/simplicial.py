@@ -17,13 +17,17 @@ vertices) is V - c, vertices minus connected components, over Q and over
 every F_p: ∂_1 is the oriented incidence matrix of the graph, which is
 totally unimodular. So a graph, or any word asked only about degrees up to
 0, is answered from the bit counts V and E and a walk over the edge bits.
-Boundary matrices are built only from ∂_2 up; their ranks over the
-rationals and over F_p come from one sparse elimination on unit pivots in
-Python integers (``±1`` over Q, any nonzero residue over F_p); over Q, rows
-left with no ``±1`` entry go to fraction-free big-integer elimination. A
-cone point skips the homology outright, and is looked for only when a
-matrix rank is still needed. Dimensions are all the cohomology formula
-consumes, so no Smith normal form is computed.
+On n vertices, the top degrees q >= max(1, n - 3) of any other word come
+from combinatorial Alexander duality: 0 from q = n - 1 up, and at q = n - 2
+and q = n - 3 from looking up the subsets of n - 1 and n - 2 vertices in
+the frame. These degrees are the same over every field. Only the middle
+degrees 1 <= q <= n - 4 build face lists and boundary matrices, from ∂_2
+up; their ranks over the rationals and over F_p come from one sparse
+elimination on unit pivots in Python integers (``±1`` over Q, any nonzero
+residue over F_p); over Q, rows left with no ``±1`` entry go to
+fraction-free big-integer elimination. A cone point skips those degrees outright, and is
+looked for only when a matrix rank is still needed. Dimensions are all the
+cohomology formula consumes, so no Smith normal form is computed.
 
 Values are immutable and every function is pure.
 """
@@ -322,7 +326,7 @@ class _FaceFrame:
     ``nv + k``. One frame serves every word over the same list.
     """
 
-    __slots__ = ("faces", "nv", "graph_end", "ends")
+    __slots__ = ("faces", "nv", "graph_end", "ends", "_bit")
 
     def __init__(self, faces: list[int]):
         nv = 0
@@ -338,6 +342,14 @@ class _FaceFrame:
         self.ends = [
             (bit_of[e & -e], bit_of[e & (e - 1)]) for e in faces[nv:graph_end]
         ]
+        self._bit: dict[int, int] | None = None
+
+    def bit_of(self) -> dict[int, int]:
+        """The bit of every face mask of the frame, built on first use, so
+        that the words of one table share it."""
+        if self._bit is None:
+            self._bit = {f: k for k, f in enumerate(self.faces)}
+        return self._bit
 
 
 def _forest_size(edges: int, ends: list[tuple[int, int]]) -> int:
@@ -366,6 +378,66 @@ def _word_homology(
     """Nonzero dims of H~_q, for q in the ascending nonempty ``qs``, of the
     complex whose faces are the empty face and ``frame.faces[k]`` for every
     set bit k of ``word``.
+
+    A word with a bit above the edge range, on n vertices, has its degrees
+    q >= max(1, n - 3) answered by Alexander duality (``_dual_dim``): 0 from
+    q = n - 1 up, and at q = n - 2 and q = n - 3 from the presence of the
+    subsets of n - 1 and n - 2 vertices, the same over every field. Every other degree, and every
+    degree of a graph word, comes from the chain complex (``_chain_dims``),
+    so only 1 <= q <= n - 4 builds face lists and boundary matrices.
+    """
+    vertices = word & ((1 << frame.nv) - 1)
+    n = vertices.bit_count()
+    low = max(1, n - 3) if word >> frame.graph_end else qs[-1] + 1
+    chain = [q for q in qs if q < low]
+    dims = _chain_dims(word, frame, chain, char) if chain else {}
+    dual = [q for q in qs if low <= q <= n - 2]
+    if dual:
+        verts = [frame.faces[k] for k in range(frame.nv) if vertices >> k & 1]
+        for q in dual:
+            val = _dual_dim(word, frame, verts, q)
+            if val:
+                dims[q] = val
+    return dims
+
+
+def _dual_dim(word: int, frame: _FaceFrame, verts: list[int], q: int) -> int:
+    """dim H~_q, for q = n - 2 or n - 3 with q >= 1, of the complex K of
+    ``word`` on the n vertex masks ``verts``, with V their union.
+
+    H~_q reads only the faces of at most q + 2 vertices, so K may be taken
+    as its (q + 1)-skeleton. Unless that is the full simplex on V (then
+    every answer below is 0), Alexander duality gives dim H~_q(K) =
+    dim H~_{n-q-3}(K*) over every field, where K* = {V ∖ F : F ⊆ V not a
+    face}. A mask that is not in the frame is a non-face, since every face
+    of the word is a frame face.
+
+    - q = n - 2: H~_{-1}(K*) is 1 exactly when K* = {∅}, i.e. V is not a
+      face and every V ∖ {v} is.
+    - q = n - 3: V itself lies above the skeleton, so ∅ ∈ K*; K* has the
+      vertices v with V ∖ {v} not a face, joined when V ∖ {u, v} is not a
+      face, and H~_0(K*) = max(c - 1, 0) over its c components.
+    """
+    bit = frame.bit_of()
+    top = sum(verts)
+
+    def absent(m: int) -> bool:
+        k = bit.get(m)
+        return k is None or not word >> k & 1
+
+    if q == len(verts) - 2:
+        return int(absent(top) and not any(absent(top ^ v) for v in verts))
+    dual = [v for v in verts if absent(top ^ v)]
+    ends = [(a, b) for b in range(len(dual)) for a in range(b)
+            if absent(top ^ dual[a] ^ dual[b])]
+    return max(len(dual) - _forest_size((1 << len(ends)) - 1, ends) - 1, 0)
+
+
+def _chain_dims(
+    word: int, frame: _FaceFrame, qs: Sequence[int], char: int
+) -> dict[int, int]:
+    """Nonzero dims of H~_q, for q in the ascending nonempty ``qs``, of the
+    complex of ``word``, from its chain complex.
 
     With n_q the number of q-cells (n_{-1} = 1, the empty face) and r_q the
     rank of ∂_q from the q-cells to the (q-1)-cells, dim H~_q = n_q - r_q -
@@ -436,8 +508,10 @@ def homology_dims_from_masks(
     The face set must be downward closed and include mask 0 (the empty face)
     unless it is empty, in which case the complex is void and everything
     vanishes. The faces become one frame and the complex its full word, for
-    ``_word_homology``.
+    ``_word_homology``. ValueError for a ``char`` that is neither 0 nor a
+    prime up to ``MAX_CHAR``.
     """
+    char = _validate_char(char)
     faces = {int(m) for m in face_masks}
     if not faces:
         return {}
@@ -455,9 +529,9 @@ def homology_dims_from_masks(
 
 
 def homology_dim_single(face_masks: Iterable[int], q: int, char: int) -> int:
-    """dim H~_q of the complex with the given downward-closed face set, from
-    the two boundary ranks around q; 0 without a boundary matrix when the
-    faces through dimension q are coned."""
+    """dim H~_q of the complex with the given downward-closed face set:
+    ``homology_dims_from_masks`` in the one degree q, with the same check
+    of ``char``."""
     return homology_dims_from_masks(face_masks, char, (q,)).get(q, 0)
 
 

@@ -486,8 +486,11 @@ def cohomology_tables(
     frame = _FaceFrame(faces)
     k_of_i = {i: k for k, i in enumerate(i_list)}
     dims_u = np.zeros((len(i_list), rows.shape[0]), dtype=np.int64)
-    for u, row in enumerate(rows.tolist()):
-        key = _row_word(row)
+    if rows.shape[1] == 1:
+        row_keys = rows[:, 0].tolist()
+    else:
+        row_keys = [_row_word(row) for row in rows.tolist()]
+    for u, key in enumerate(row_keys):
         g_size = key >> nf
         if g_size == top:
             continue

@@ -469,6 +469,28 @@ def brute_minimal_nonfaces(
 # graded local cohomology of a squarefree quotient via links
 
 
+def degree_table_oracle(I: MonomialIdeal, i: int, char: int) -> dict:
+    """Entries {(G, a_plus): dim} for H^i_m(R/I), any monomial I, by
+    Takayama's formula at one degree per pattern: for every b with
+    0 <= b_j <= rho_j (rho_j the largest x_j-exponent of a generator),
+    G = {j : b_j = rho_j}, the degree a is -1 on G and b elsewhere, and the
+    dimension is that of H~_{i-|G|-1} of ``brute_degree_complex(I, a)``."""
+    d = I.d
+    rows = I.exponent_matrix.tolist()
+    rho = [max((r[j] for r in rows), default=0) for j in range(d)]
+    entries = {}
+    for b in itertools.product(*(range(r + 1) for r in rho)):
+        G = tuple(j + 1 for j in range(d) if b[j] == rho[j])
+        q = i - len(G) - 1
+        if q < -1:
+            continue
+        a = [-1 if j + 1 in G else b[j] for j in range(d)]
+        dim = reduced_homology_oracle(brute_degree_complex(I, a), q, char)
+        if dim:
+            entries[(G, tuple(0 if j + 1 in G else b[j] for j in range(d)))] = dim
+    return entries
+
+
 def hochster_table_oracle(I: MonomialIdeal, i: int, char: int) -> dict:
     """Entries {(G, zero_aplus): dim} for H^i_m(R/I), I squarefree.
 

@@ -573,6 +573,26 @@ class TestDeterminism:
         assert proc.returncode == 0
         assert proc.stdout == "1\n2\n"
 
+    def test_import_loads_no_numpy_submodule_beyond_numpy(self):
+        # every command pays the import: a lazily loaded numpy submodule
+        # (numpy.ma costs about 10 ms in a fresh interpreter) shows in the
+        # start-up time of each run
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        script = (
+            "import sys\n"
+            "def loaded():\n"
+            "    return {m for m in sys.modules if m.split('.')[0] == 'numpy'}\n"
+            "import numpy\n"
+            "bare = loaded()\n"
+            "import monocoh.cli\n"
+            "print(sorted(loaded() - bare))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
 
 def random_argv(rng: random.Random) -> list[str]:
     """One command line from a small grammar: each value is drawn valid most

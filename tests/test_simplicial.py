@@ -327,10 +327,14 @@ class TestHomologyFixtures:
             for q in range(-1, d + 1):
                 truncated = {m for m in masks if m.bit_count() <= q + 2}
                 assert homology_dims_from_masks(truncated, 3, (q,)) == {}
-        assert calls == []
-        # a complex with no cone point through degree 2 still needs ∂_2's
-        # matrix
+        # the hollow tetrahedron has no cone point through degree 2, but on
+        # n = 4 vertices q = 2 = n - 2 is read by Alexander duality
         assert homology_dims_from_masks(TETRAHEDRON_BOUNDARY, 0, (2,)) == {2: 1}
+        assert calls == []
+        # a middle degree, 1 <= q <= n - 4, with no cone point still needs
+        # the matrices around it: RP² on n = 6 vertices at q = 1 over F_2
+        rp2 = from_facets(6, RP2_FACETS).face_masks()
+        assert homology_dims_from_masks(rp2, 2, (1,)) == {1: 1}
         assert calls
 
 
@@ -548,6 +552,78 @@ class TestFaceWords:
                 assert homology_dims_from_masks(faces, 0, degs) == want
 
 
+def complexes_on_four_vertices():
+    """Every nonvoid complex on at most 4 vertices, as the face masks of a
+    downward-closed family of subsets of [4] that holds the empty face."""
+    out = []
+    for pick in range(1 << 15):
+        faces = {0} | {m for m in range(1, 16) if pick >> (m - 1) & 1}
+        if all(f & ~(1 << v) in faces for f in faces for v in range(4)):
+            out.append(faces)
+    return out
+
+
+def sampled_complexes(rng, count):
+    """(d, face masks) of seeded complexes on 5..8 vertices, each generated
+    by a few random non-faces (every mask holding none of them is a face),
+    most of them wide, so that the top degrees carry homology."""
+    out = []
+    for _ in range(count):
+        d = int(rng.integers(5, 9))
+        nonfaces = [
+            sum(1 << int(v) for v in rng.choice(
+                d, size=int(rng.integers(max(2, d - 3), d + 1)), replace=False))
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        out.append((d, {m for m in range(1 << d)
+                        if not any(m & g == g for g in nonfaces)}))
+    return out
+
+
+class TestAlexanderDuality:
+    """``_word_homology`` answers a word with a face of three or more
+    vertices, on n vertices, by Alexander duality at q >= max(1, n - 3)."""
+
+    def test_duality_degrees_against_the_oracle(self):
+        # every degree -1..n over Q, F_2 and F_3; the sampled frames stop
+        # at a random face size, so a wider mask is outside the frame and
+        # the word's complex is the truncated one
+        rng = np.random.default_rng(2909)
+        cases = [(4, faces, 4) for faces in complexes_on_four_vertices()]
+        # on 7 and 8 vertices the oracle's exact ranks of wide boundary
+        # matrices dominate the run time, so those frames stop at 4 vertices
+        cases += [(d, faces, int(rng.integers(3, (d if d <= 6 else 4) + 1)))
+                  for d, faces in sampled_complexes(rng, 24)]
+        # H~_{n-2} is nonzero only on the boundary of the simplex on V
+        cases += [(d, set(range((1 << d) - 1)), d) for d in (5, 6)]
+        hits = {"n-1": 0, "n-2": 0, "n-3": 0}
+        nonzero = {"n-2": 0, "n-3": 0}
+        for d, faces, top in cases:
+            frame = _FaceFrame(sorted((m for m in range(1, 1 << d)
+                                       if m.bit_count() <= top), key=int.bit_count))
+            kept = {m for m in faces if m.bit_count() <= top}
+            word = sum(1 << k for k, f in enumerate(frame.faces) if f in kept)
+            oracle_faces = {frozenset(v for v in range(d) if m >> v & 1)
+                            for m in kept}
+            n = sum(1 for m in kept if m.bit_count() == 1)
+            dual = any(m.bit_count() >= 3 for m in kept)
+            qs = list(range(-1, n + 1))
+            for char in (0, 2, 3):
+                want = {q: oracles.reduced_homology_oracle(oracle_faces, q, char)
+                        for q in qs}
+                got = _word_homology(word, frame, qs, char)
+                assert got == {q: v for q, v in want.items() if v}, (
+                    d, sorted(kept), char)
+                for q in qs:
+                    if dual and q >= 1 and q >= n - 3:
+                        branch = f"n-{max(n - q, 1)}"
+                        hits[branch] += 1
+                        if want[q] and branch in nonzero:
+                            nonzero[branch] += 1
+        assert min(hits.values()) >= 50, hits
+        assert min(nonzero.values()) >= 9, nonzero
+
+
 class TestWhereMatricesAreBuilt:
     @pytest.fixture
     def rank_calls(self, monkeypatch):
@@ -604,6 +680,29 @@ class TestWhereMatricesAreBuilt:
         assert words and not any(words)
         assert rank_calls == []
 
+    def test_top_degree_tables_build_no_matrix(self, rank_calls, monkeypatch):
+        # an ideal of the benchmark's random corpus in 5 variables: at
+        # i >= 3 every degree q = i - |G| - 1 >= 1 of a complex on n <= 5 - |G|
+        # vertices has q >= n - 3, so Alexander duality answers it with no
+        # cone test and no matrix
+        cone_tests = []
+        real_cone = simplicial._has_cone_point
+
+        def counting_cone(*args):
+            cone_tests.append(args)
+            return real_cone(*args)
+
+        monkeypatch.setattr(simplicial, "_has_cone_point", counting_cone)
+        I = MonomialIdeal(5, [[1, 1, 0, 0, 3], [3, 0, 4, 1, 1]])
+        for char in (0, 32003):
+            tables = takayama.cohomology_tables(I, (3, 4), char)
+            for i, table in tables.items():
+                entries = {(p.G, p.a_plus): dim
+                           for p, dim in table.entries.items()}
+                assert entries == oracles.degree_table_oracle(I, i, char)
+                assert entries
+        assert rank_calls == [] and cone_tests == []
+
     @pytest.mark.parametrize("char,h1", [(0, 0), (2, 1)])
     def test_projective_plane_still_builds_matrices(self, rank_calls, char, h1):
         dims = reduced_homology_dims(from_facets(6, RP2_FACETS), char).dims
@@ -619,6 +718,18 @@ class TestValidation:
                 reduced_homology_dims(K, bad)
         for ok in (0, 2, 3, 5, 7, 97):
             reduced_homology_dims(K, ok)
+
+    def test_face_set_routines_check_char(self):
+        # the top degrees read by duality never consult char, so a bad one
+        # must be refused before any homology is computed
+        assert homology_dims_from_masks(HOLLOW_TRIANGLE, 2) == {1: 1}
+        for bad in (4, -5, 1, 2**61 - 1):
+            with pytest.raises(ValueError):
+                homology_dims_from_masks(HOLLOW_TRIANGLE, bad)
+            with pytest.raises(ValueError):
+                homology_dim_single(HOLLOW_TRIANGLE, 1, bad)
+            with pytest.raises(ValueError):
+                homology_dims_from_masks(set(), bad)
 
     def test_char_bound(self):
         assert MAX_CHAR == 2**31 - 1 and _validate_char(MAX_CHAR) == MAX_CHAR
