@@ -25,9 +25,10 @@ degrees 1 <= q <= n - 4 build face lists and boundary matrices, from ∂_2
 up; their ranks over the rationals and over F_p come from one sparse
 elimination on unit pivots in Python integers (``±1`` over Q, any nonzero
 residue over F_p); over Q, rows left with no ``±1`` entry go to
-fraction-free big-integer elimination. A cone point skips those degrees outright, and is
-looked for only when a matrix rank is still needed. Dimensions are all the
-cohomology formula consumes, so no Smith normal form is computed.
+fraction-free big-integer elimination. A cone point skips those degrees
+outright, and is looked for only when a matrix rank is still needed.
+Dimensions are all the cohomology formula consumes, so no Smith normal form
+is computed.
 
 Values are immutable and every function is pure.
 """
@@ -382,9 +383,10 @@ def _word_homology(
     A word with a bit above the edge range, on n vertices, has its degrees
     q >= max(1, n - 3) answered by Alexander duality (``_dual_dim``): 0 from
     q = n - 1 up, and at q = n - 2 and q = n - 3 from the presence of the
-    subsets of n - 1 and n - 2 vertices, the same over every field. Every other degree, and every
-    degree of a graph word, comes from the chain complex (``_chain_dims``),
-    so only 1 <= q <= n - 4 builds face lists and boundary matrices.
+    subsets of n - 1 and n - 2 vertices, the same over every field. Every
+    other degree, and every degree of a graph word, comes from the chain
+    complex (``_chain_dims``), so only 1 <= q <= n - 4 builds face lists and
+    boundary matrices.
     """
     vertices = word & ((1 << frame.nv) - 1)
     n = vertices.bit_count()
