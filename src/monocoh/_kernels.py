@@ -27,11 +27,16 @@ _SLICE_CLOSE_MIN_STEP_CELLS = 512
 # whatever the cells per step.
 _ACCUMULATE_LAST_AXIS_MIN_LEN = 64
 # Mask rows of one word are deduplicated through a presence table over the
-# key range, not a sort, once there are at least this many keys and every
-# key is below _DENSE_DEDUP_SPAN times their count: the table then costs a
-# few linear passes, and the sort O(n log n).
+# key range, not a sort, when every key is below _DENSE_DEDUP_SPAN times
+# the larger of their count and _DENSE_DEDUP_MIN_KEYS: the table then costs
+# a few linear passes over at most that many entries, and the sort
+# O(n log n) plus its fixed cost, which dominates for a few hundred keys.
 _DENSE_DEDUP_MIN_KEYS = 4096
 _DENSE_DEDUP_SPAN = 4
+# The face scan stacks every face over the whole box, in one group, while
+# faces times cells stays within this; above it the stacks of the faces
+# sharing a last axis, over that axis's top slab, copy less.
+_SCAN_ONE_GROUP_MAX_CELLS = 1 << 14
 
 
 def upward_close(box: np.ndarray) -> None:
@@ -126,14 +131,16 @@ def scan_face_masks(
     are the narrowest unsigned type that holds the key's bits: uint8 up to 8,
     uint16 up to 16, uint32 up to 32, else as many uint64 words as needed.
 
-    Every face is written over the whole box, so that each write has a
-    contiguous destination. The cells outside the ideal are found once, as
-    0/1 bytes; a face's bit is those bytes at its probes, widened to the
-    word type by the one shift that moves them into place. The faces that
-    share their last axis ``m`` are first gathered on the top slab of ``m``
-    and then written together along ``m``. Afterwards each top slab clears
-    the faces that meet its axis, and every widest face, by one mask per
-    slab.
+    The cells outside the ideal are found once, as a boolean box. The faces
+    of one word form a group over the whole box while faces times cells is
+    at most ``_SCAN_ONE_GROUP_MAX_CELLS`` (2^14); otherwise the faces that
+    share their last axis ``m`` and their word form a group, worked on the
+    top slab of ``m``. Each face's probes are copied from its group's box
+    or slab, widened to the word type, into one zeroed stack, only where
+    the face can be present: below the top of its axes, and for a widest
+    face below the top of every axis. The stack is shifted into the faces'
+    bit places at once, ORed down and written along ``m``; a slab group then
+    clears its faces on the top slab of ``m`` by one scalar AND.
     """
     top = max_i + 1
     nf = len(faces)
@@ -142,8 +149,10 @@ def scan_face_masks(
         np.uint8 if nbits <= 8 else np.uint16 if nbits <= 16
         else np.uint32 if nbits <= 32 else np.uint64
     )
+    d = box.ndim
     keys = np.zeros(box.shape + ((nbits + 63) // 64,), dtype=word)
-    slabs = [(slice(None),) * j + (slice(-1, None),) for j in range(box.ndim)]
+    words = [keys[..., w] for w in range(keys.shape[-1])]
+    slabs = [(slice(None),) * j + (slice(-1, None),) for j in range(d)]
     # the field: |G| counted over the top slabs, cells of the ideal pushed
     # past the clamp; written first, so its low word takes it by assignment
     field = box * np.uint8(top)
@@ -151,30 +160,40 @@ def scan_face_masks(
         field[slab] += 1
     np.minimum(field, top, out=field)
     w, shift = divmod(nf, 64)
-    np.left_shift(field, shift, out=keys[..., w], dtype=word)
+    np.left_shift(field, shift, out=words[w], dtype=word)
     if shift + top.bit_length() > 64:
-        keys[..., w + 1] = field >> np.uint8(64 - shift)
-    live = (box == 0).view(np.uint8)
-    cleared = [0] * box.ndim
-    by_last: dict[int, list[int]] = {}
+        words[w + 1][...] = field >> np.uint8(64 - shift)
+    del field  # the face stacks below are the scan's largest temporaries
+    live = box == 0
+    # a group key: the word, and the last axis or -1 for the whole box
+    whole = nf * box.size <= _SCAN_ONE_GROUP_MAX_CELLS
+    groups: dict[tuple[int, int], list[int]] = {}
     for f_i, f in enumerate(faces):
-        by_last.setdefault(f[-1], []).append(f_i)
-    for m, group in by_last.items():
-        acc = np.zeros(keys[slabs[m]].shape, dtype=word)
-        for f_i in group:
-            f = faces[f_i]
-            for j in range(box.ndim) if len(f) == top else f:
-                cleared[j] |= 1 << f_i
-            src = tuple(slice(-1, None) if j in f else slice(None)
-                        for j in range(box.ndim))
-            w, shift = divmod(f_i, 64)
-            acc[..., w] |= np.left_shift(live[src], shift, dtype=word)
-        keys |= acc
+        groups.setdefault((-1 if whole else f[-1], f_i >> 6), []).append(f_i)
+    below = slice(None, -1)
     full = (1 << 8 * word.itemsize) - 1
-    for slab, bits in zip(slabs, cleared):
-        if bits:
-            words = [bits >> (64 * w) & full for w in range(keys.shape[-1])]
-            keys[slab] &= ~np.array(words, dtype=word)
+    for (m, w), group in groups.items():
+        base = live if m < 0 else live[slabs[m]]
+        stack = np.zeros((len(group),) + base.shape, dtype=word)
+        for k, f_i in enumerate(group):
+            f = faces[f_i]
+            # the face is copied below the top of its own axes (F ∩ G = ∅),
+            # and a widest face below the top of every axis (G = ∅)
+            dest = [below if len(f) == top else slice(None)] * d
+            src = list(dest)
+            for j in f:
+                dest[j], src[j] = below, slice(-1, None)
+            if m >= 0:
+                # the slab's own axis has length 1: its top is cleared below
+                dest[m] = src[m] = slice(None)
+            stack[(k, *dest)] = base[tuple(src)]
+        shifts = np.array([f_i & 63 for f_i in group], dtype=word)
+        stack <<= shifts.reshape((-1,) + (1,) * d)
+        words[w] |= np.bitwise_or.reduce(stack, axis=0)
+        if m >= 0:
+            # every face of the group meets m, so none is present on its top
+            bits = sum(1 << (f_i & 63) for f_i in group)
+            words[w][slabs[m]] &= word.type(~bits & full)
     return keys.reshape(-1, keys.shape[-1])
 
 

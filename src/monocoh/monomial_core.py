@@ -127,10 +127,20 @@ def _minimal_rows(exps: np.ndarray) -> np.ndarray:
 
 def _closed_box(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The 0/1 uint8 box of the given shape that is 1 exactly on the cells
-    at or above some row (each row an integer cell index)."""
+    at or above some row (each row an integer cell index).
+
+    At most d rows fill their orthants, one slice assignment each; more rows
+    are marked and closed by ``upward_close``, one pass per axis. Either way
+    the box is written at most d times over, and the fills make no more
+    numpy calls than the closure.
+    """
     box = np.zeros(shape, dtype=np.uint8)
-    box[tuple(rows.T)] = 1
-    _kernels.upward_close(box)
+    if rows.shape[0] <= box.ndim:
+        for row in rows.tolist():
+            box[tuple(slice(x, None) for x in row)] = 1
+    else:
+        box[tuple(rows.T)] = 1
+        _kernels.upward_close(box)
     return box
 
 
@@ -474,28 +484,41 @@ def var_degree_bounds(I: MonomialIdeal) -> VarDegreeBounds:
     return VarDegreeBounds(rho=tuple(int(x) for x in I._exps.max(axis=0)))
 
 
+def _box_corner(box: np.ndarray, low: Sequence[int]) -> np.ndarray:
+    """The indicator over all 2^d masks M (bit j for axis j) of the cell c
+    of an up-closed box being 0, where c_j is the box's last index rho_j
+    when bit j of M is set and low_j <= rho_j otherwise.
+
+    The cells form the (2,)*d corner of the box at low: a strided view
+    (indices low_j and rho_j on each axis), broadcast over the axes with
+    low_j = rho_j. Reversing the axes and flattening in C order makes a
+    cell's flat index its mask.
+    """
+    step = tuple(
+        slice(lo, None, max(n - 1 - lo, 1)) for lo, n in zip(low, box.shape)
+    )
+    corners = box[step]
+    if corners.size < 1 << box.ndim:
+        corners = np.broadcast_to(corners, (2,) * box.ndim)
+    return corners.T.reshape(-1) == 0
+
+
 def _corner_flags(I: MonomialIdeal, low: Sequence[int]) -> np.ndarray:
     """The indicator over all 2^d masks M (bit j-1 for x_j) of x^c not in I,
     where c_j = rho_j when bit j-1 of M is set and c_j = low_j <= rho_j
     otherwise. At low = 0 it is the face indicator of Δ(√I).
 
-    M is a cell of the (2,)*d corner of the membership box at low. A
-    box-backed ideal reads it as a strided view of its box (indices low_j
-    and rho_j on each axis), broadcast over the axes with low_j = rho_j; any
-    other ideal closes upward, per generator g, the mask {j : g_j > low_j},
-    since g divides x^c iff that mask lies inside M. Reversing the axes and
-    flattening in C order makes a cell's flat index its mask.
+    A box-backed ideal reads it as the ``_box_corner`` of its box at low;
+    any other ideal closes upward, per generator g, the mask
+    {j : g_j > low_j} in a (2,)*d box, since g divides x^c iff that mask
+    lies inside M, and reads that whole box.
     """
     if I.d > MAX_VARIABLES:
         raise ValueError(f"face enumeration is capped at d <= {MAX_VARIABLES}")
     if I._box is not None:
-        step = tuple(
-            slice(lo, None, max(n - 1 - lo, 1)) for lo, n in zip(low, I._box.shape)
-        )
-        corners = np.broadcast_to(I._box[step], (2,) * I.d)
-    else:
-        corners = _closed_box((I._exps > np.asarray(low)).astype(np.int64), (2,) * I.d)
-    return corners.T.reshape(-1) == 0
+        return _box_corner(I._box, low)
+    rows = (I._exps > np.asarray(low)).astype(np.int64)
+    return _box_corner(_closed_box(rows, (2,) * I.d), (0,) * I.d)
 
 
 @functools.cache

@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,6 +42,7 @@ from .errors import InternalConsistencyError, ResourceCapError, UnitIdealError
 from .monomial_core import (
     DEFAULT_PATTERN_CAP,
     MonomialIdeal,
+    _box_corner,
     _corner_flags,
     krull_dimension,
     membership_box,
@@ -140,14 +140,15 @@ class CohomologyTable:
     the positive dimensions. A pattern with G != ∅ stands for infinitely
     many ℤ^d-degrees (any negative magnitudes on G), so ``finite_length``
     holds exactly when every G is empty. ``entries`` is the same table as a
-    dict from ``DegreePattern`` to dimension, built on first access; the
-    invariants, equality and serialisation read the arrays and never build
-    it. The arrays may hold the rows in any order: ``_ordered_rows`` puts
-    them in the one order (|G|, G, a⁺) that equality, ``sorted_rows``,
-    ``entries`` and every writer use, and ``_write_rows`` is the one writer
-    behind ``to_json`` and the command line's JSON, CSV and text. ``rho``
-    records the clamping bounds the scan used; it is an annotation derived
-    from the ideal, not part of table identity.
+    dict from ``DegreePattern`` to dimension, built from ``sorted_rows`` on
+    every access and not kept; the invariants, equality and serialisation
+    read the arrays and never build it. The arrays may hold the rows in any
+    order: ``_ordered_rows`` puts them in the one order (|G|, G, a⁺) that
+    equality, ``sorted_rows``, ``entries`` and every writer use, and
+    ``_write_rows`` is the one writer behind ``to_json`` and the command
+    line's JSON, CSV and text. ``rho`` records the clamping bounds the scan
+    used; it is an annotation derived from the ideal, not part of table
+    identity.
     """
 
     i: int
@@ -161,7 +162,7 @@ class CohomologyTable:
     def finite_length(self) -> bool:
         return not np.count_nonzero(self.g_masks)
 
-    @cached_property
+    @property
     def entries(self) -> dict[DegreePattern, int]:
         return dict(self.sorted_entries())
 
@@ -398,23 +399,27 @@ def _unique_rows(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(unique_rows, inverse)``: the distinct rows of ``masks`` in key
     order, and for every row the index of its distinct row.
 
-    Single-word keys, at least ``_DENSE_DEDUP_MIN_KEYS`` of them and all
-    below ``_DENSE_DEDUP_SPAN`` times their count, go through a presence
-    table over the key range: flag every key and number the flagged keys in
+    Single-word keys all below ``_DENSE_DEDUP_SPAN`` times the larger of
+    their count and ``_DENSE_DEDUP_MIN_KEYS`` go through a presence table
+    over the key range: flag every key and number the flagged keys in
     order. That inverse has one entry per key, so it takes the narrowest
     unsigned type that holds a row index. Any other call sorts, through
     ``np.unique``.
     """
     keys = _row_keys(masks)
-    if masks.shape[1] == 1 and keys.size >= _kernels._DENSE_DEDUP_MIN_KEYS:
+    if masks.shape[1] == 1:
         top = int(keys.max())
-        if top < _kernels._DENSE_DEDUP_SPAN * keys.size:
+        if top < _kernels._DENSE_DEDUP_SPAN * max(
+            keys.size, _kernels._DENSE_DEDUP_MIN_KEYS
+        ):
+            # numpy indexes by intp: converting once spares both lookups
+            index = keys.astype(np.intp)
             flags = np.zeros(top + 1, dtype=bool)
-            flags[keys] = True
+            flags[index] = True
             uniq = np.flatnonzero(flags)
             ids = np.zeros(top + 1, dtype=np.min_scalar_type(uniq.size))
             ids[uniq] = np.arange(uniq.size)
-            return uniq.astype(masks.dtype).reshape(-1, 1), ids[keys]
+            return uniq.astype(masks.dtype).reshape(-1, 1), ids[index]
     uniq, inverse = np.unique(keys, return_inverse=True)
     return uniq.view(masks.dtype).reshape(-1, masks.shape[1]), inverse
 
@@ -437,22 +442,27 @@ def cohomology_tables(
     keys every cell by its face word and min(|G|, max i + 1). The candidate
     faces are the faces of Δ(I) that avoid the absent variables (rho_j = 0,
     so j is in every G) and have at most max i + 1 vertices: H~_q reads faces
-    of up to q + 2 vertices, and q = i - |G| - 1 is widest at G = ∅. A size
-    |G| > i contributes nothing to table i, since its homology degree is
-    below -1, so cells with |G| > max i share the top field value and yield
-    nothing.
+    of up to q + 2 vertices, and q = i - |G| - 1 is widest at G = ∅. They
+    are read off the same box's corner at 0, so a table builds no box beyond
+    the one it scans (none for a box-backed ideal). A size |G| > i
+    contributes nothing to table i, since its homology degree is below -1,
+    so cells with |G| > max i share the top field value and yield nothing.
 
     Cells inside the ideal carry the void complex (most of a power's box)
     and are dropped first. ``_unique_rows`` deduplicates the keys of the rest
-    once: through a presence table when they are single words, many and
-    dense (the usual case for powers), else by ``np.unique``'s sort. Each
-    distinct complex yields H~_q for every requested q at its |G|, filed
+    once: through a presence table when they are single words below
+    ``_DENSE_DEDUP_SPAN`` times the larger of their count and
+    ``_DENSE_DEDUP_MIN_KEYS`` (the keys of a table over few faces, and the
+    dense keys of powers), else by ``np.unique``'s sort. Each distinct
+    complex yields H~_q for every requested q at its |G|, filed
     under i = q + |G| + 1. The candidate faces are ordered by size, so the
     vertices and edges are two bit ranges of the key, and one
     ``_FaceFrame`` over them lets ``_word_homology`` read every distinct
-    face word: a graph needs no face list. Only the cells with a nonzero
-    dimension are decoded, from their flat index, into (G, a⁺) rows, left
-    in flat-index order: every reader orders them through ``_ordered_rows``.
+    face word: a graph needs no face list. When no distinct complex has a
+    nonzero dimension, the tables come back empty with nothing decoded.
+    Otherwise only the cells with a nonzero dimension are decoded, from
+    their flat index, into (G, a⁺) rows, left in flat-index order: every
+    reader orders them through ``_ordered_rows``.
 
     Raises ResourceCapError, naming the first i over ``pattern_cap``, before
     anything is scanned.
@@ -476,41 +486,55 @@ def cohomology_tables(
     box = membership_box(I)
     top = i_list[-1] + 1
     absent = sum(1 << j for j in range(d) if not rho[j])
-    faces = _frame_faces(_corner_flags(I, (0,) * d), d, top, absent)
+    faces = _frame_faces(_box_corner(box, (0,) * d), d, top, absent)
     keys = _kernels.scan_face_masks(
-        box, [tuple(j for j in range(d) if f >> j & 1) for f in faces], top - 1
+        box, [tuple([j for j in range(d) if f >> j & 1]) for f in faces], top - 1
     )
     outside = np.flatnonzero(box.reshape(-1) == 0)
     rows, inverse = _unique_rows(keys[outside])
     nf = len(faces)
     frame = _FaceFrame(faces)
     k_of_i = {i: k for k, i in enumerate(i_list)}
-    dims_u = np.zeros((len(i_list), rows.shape[0]), dtype=np.int64)
     if rows.shape[1] == 1:
         row_keys = rows[:, 0].tolist()
     else:
         row_keys = [_row_word(row) for row in rows.tolist()]
+    # the homology degrees each |G| below the top asks for
+    qs_of = [[i - g - 1 for i in i_list if i >= g] for g in range(top)]
+    face_bits = (1 << nf) - 1
+    nonzero = []
     for u, key in enumerate(row_keys):
         g_size = key >> nf
         if g_size == top:
             continue
-        qs = [i - g_size - 1 for i in i_list if i >= g_size]
-        word = key & ((1 << nf) - 1)
-        for q, dim in _word_homology(word, frame, qs, char).items():
-            dims_u[k_of_i[q + g_size + 1], u] = dim
+        for q, dim in _word_homology(key & face_bits, frame, qs_of[g_size],
+                                     char).items():
+            nonzero.append((k_of_i[q + g_size + 1], u, dim))
+    # a⁺_j < rho_j: the narrowest unsigned type holding max rho suffices
+    a_type = np.min_scalar_type(max(rho))
+    if not nonzero:
+        none = np.zeros(0, dtype=np.int64)
+        a_plus = np.zeros((0, d), dtype=a_type)
+        return {
+            i: CohomologyTable(i=i, char=char, a_plus=a_plus, g_masks=none,
+                               dims=none, rho=tuple(rho))
+            for i in i_list
+        }
+    dims_u = np.zeros((len(i_list), rows.shape[0]), dtype=np.int64)
+    ks, us, vals = zip(*nonzero)
+    dims_u[ks, us] = vals
     hits = np.flatnonzero(dims_u.any(axis=0)[inverse])
     cells, row_of = outside[hits], inverse[hits]
-    coords = np.stack(np.unravel_index(cells, box.shape), axis=1)
-    on_g = coords == np.array(rho)
-    bits = 1 << np.arange(d, dtype=np.int64)
-    g_masks = on_g @ bits
-    # a⁺_j < rho_j: the narrowest unsigned type holding max rho suffices
-    a_plus = coords.astype(np.min_scalar_type(max(rho)))
-    a_plus[on_g] = 0
+    coords = np.array(np.unravel_index(cells, box.shape), dtype=a_type)
+    on_g = coords == np.array(rho)[:, None]
+    g_masks = (1 << np.arange(d, dtype=np.int64)) @ on_g
+    coords[on_g] = 0
+    a_plus = coords.T
     tables = {}
     for i in i_list:
         dims = dims_u[k_of_i[i]][row_of]
-        hit = dims != 0
+        # with one degree every decoded row has a nonzero dimension
+        hit = slice(None) if len(i_list) == 1 else dims != 0
         tables[i] = CohomologyTable(
             i=i, char=char, a_plus=a_plus[hit], g_masks=g_masks[hit],
             dims=dims[hit], rho=tuple(rho),

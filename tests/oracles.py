@@ -466,6 +466,35 @@ def brute_minimal_nonfaces(
 
 
 # ---------------------------------------------------------------------------
+# the keys of the face scan
+
+
+def scan_keys_oracle(box: np.ndarray, faces, max_i: int) -> list[int]:
+    """The key ``_kernels.scan_face_masks`` documents for every cell of an
+    up-closed box, in C order, as a Python int, probe by probe.
+
+    Cell b has G = {j : b_j = rho_j}, with rho_j the box's last index. Bit f
+    is set when faces[f] (a tuple of axes) avoids G, has at most max_i
+    axes or G is empty, and the box is 0 at b raised to rho on faces[f].
+    Above the face bits sits min(|G|, max_i + 1), or max_i + 1 on a cell
+    of the ideal."""
+    top = max_i + 1
+    rho = [n - 1 for n in box.shape]
+    keys = []
+    for b in itertools.product(*(range(n) for n in box.shape)):
+        G = {j for j, x in enumerate(b) if x == rho[j]}
+        key = (top if box[b] else min(len(G), top)) << len(faces)
+        for f, F in enumerate(faces):
+            if G & set(F) or (G and len(F) == top):
+                continue
+            probe = tuple(rho[j] if j in F else x for j, x in enumerate(b))
+            if not box[probe]:
+                key |= 1 << f
+        keys.append(key)
+    return keys
+
+
+# ---------------------------------------------------------------------------
 # graded local cohomology of a squarefree quotient via links
 
 

@@ -119,28 +119,9 @@ class TestPairwiseMinimal:
             assert got == want
 
 
-def probe_key(box, faces, max_i, cell):
-    """The key ``scan_face_masks`` writes at ``cell``, from direct probes of
-    the box: the face bits, then min(|G|, max_i + 1) above them, with a cell
-    of the ideal at the top value."""
-    top = max_i + 1
-    G = {j for j, b in enumerate(cell) if b == box.shape[j] - 1}
-    key = top if box[cell] else min(len(G), top)
-    key <<= len(faces)
-    for f_i, f in enumerate(faces):
-        if G & set(f) or (G and len(f) == top):
-            continue
-        probe = tuple(box.shape[j] - 1 if j in f else b
-                      for j, b in enumerate(cell))
-        if box[probe] == 0:
-            key |= 1 << f_i
-    return key
-
-
 def scan_against_probes(rng, shape, nf, max_i):
     """Scan a random upward-closed box with ``nf`` random faces of at most
-    ``max_i + 1`` axes; check every key against ``probe_key`` and return
-    the keys as Python integers."""
+    ``max_i + 1`` axes against the oracle."""
     d = len(shape)
     box = np.zeros(shape, dtype=np.uint8)
     for _ in range(3):
@@ -148,11 +129,17 @@ def scan_against_probes(rng, shape, nf, max_i):
     kr.upward_close(box)
     pool = [f for k in range(1, max_i + 2) for f in combinations(range(d), k)]
     faces = [pool[k] for k in sorted(rng.choice(len(pool), nf, replace=False))]
+    return scan_against_oracle(box, faces, max_i)
+
+
+def scan_against_oracle(box, faces, max_i):
+    """Scan the box; check every key against ``oracles.scan_keys_oracle``
+    and return the keys as an array and as Python integers."""
     keys = kr.scan_face_masks(box, faces, max_i)
     assert isinstance(keys, np.ndarray) and keys.shape[0] == box.size
     got = [sum(int(w) << (64 * k) for k, w in enumerate(row))
            for row in keys.tolist()]
-    assert got == [probe_key(box, faces, max_i, c) for c in np.ndindex(*shape)]
+    assert got == oracles.scan_keys_oracle(box, faces, max_i)
     return keys, got
 
 
@@ -174,6 +161,46 @@ class TestScanAgainstProbes:
         assert (0 in fields) == (g_count == 0) and 4 in fields
         if g_count < 3:
             assert any(key >> 80 == 1 and key & ((1 << 80) - 1) for key in got)
+
+
+class TestScanAgainstOracle:
+    # (d, max_i, absent axes, word type): every word type, d = 1..8, and at
+    # d = 8 all 92 faces of up to 3 axes, a key of two uint64 words
+    CASES = [
+        (1, 0, 0, "uint8"), (2, 1, 1, "uint8"), (3, 1, 0, "uint8"),
+        (4, 1, 1, "uint16"), (4, 2, 0, "uint16"), (5, 1, 2, "uint32"),
+        (7, 1, 0, "uint32"), (6, 2, 2, "uint64"), (8, 1, 3, "uint64"),
+        (8, 2, 2, "uint64"),
+    ]
+
+    @pytest.mark.parametrize("grouping", ["whole", "slabs"])
+    @pytest.mark.parametrize("d, max_i, absent, word", CASES)
+    def test_every_face_of_seeded_boxes(self, monkeypatch, d, max_i, absent,
+                                        word, grouping):
+        # up-closed boxes from the orthants of a few seeded cells, with
+        # ``absent`` axes of length 1 (rho_j = 0, in every G); the faces are
+        # stacked over the whole box, or per last axis over its top slab
+        limit = 1 << 62 if grouping == "whole" else 0
+        monkeypatch.setattr(kr, "_SCAN_ONE_GROUP_MAX_CELLS", limit)
+        rng = np.random.default_rng(100 * d + max_i)
+        faces = [f for k in range(1, max_i + 2)
+                 for f in combinations(range(d), k)]
+        for _ in range(3):
+            shape = [int(n) for n in rng.integers(2, 4 if d <= 5 else 3, size=d)]
+            for j in rng.choice(d, size=absent, replace=False):
+                shape[j] = 1
+            box = np.zeros(shape, dtype=np.uint8)
+            for _ in range(int(rng.integers(1, 4))):
+                cell = [int(rng.integers(0, n)) for n in shape]
+                box[tuple(slice(x, None) for x in cell)] = 1
+            keys, got = scan_against_oracle(box, faces, max_i)
+            nbits = len(faces) + (max_i + 1).bit_length()
+            assert keys.dtype == np.dtype(word)
+            assert keys.shape[1] == (nbits + 63) // 64
+            # G = ∅ at cell 0 unless an axis is absent or the box is the
+            # unit ideal's
+            assert (min(key >> len(faces) for key in got) == 0) == (
+                absent == 0 and not box.flat[0])
 
 
 class TestScanWords:

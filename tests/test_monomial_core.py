@@ -305,6 +305,46 @@ class TestPowerBox:
         takayama.cohomology_table(S, 1)
         assert closed == [(5,) * 6]
 
+    def test_a_table_builds_at_most_one_box(self, monkeypatch):
+        # the scan's box also gives the candidate faces: one box for a
+        # generator-backed ideal (with d or fewer generators, and with more;
+        # with an absent variable), none for a box-backed one
+        built = []
+        closed_box = monomial_core._closed_box
+
+        def counting(rows, shape):
+            built.append(shape)
+            return closed_box(rows, shape)
+
+        I = cycle_ideal(6)
+        ideals = [
+            (I, False),
+            (parse_ideal("x1^2*x2, x2^3*x4, x1*x4^2", 4), False),
+            (parse_ideal("x1*x2, x2*x3, x1*x3, x1^3, x2^3, x3^3", 3), False),
+            (power(I, 2), True),
+            (saturate_irrelevant(power(I, 3)), True),
+        ]
+        monkeypatch.setattr(monomial_core, "_closed_box", counting)
+        for J, boxed in ideals:
+            built.clear()
+            tables = takayama.cohomology_tables(J, range(J.d + 1))
+            shape = tuple(r + 1 for r in var_degree_bounds(J).rho)
+            assert built == ([] if boxed else [shape])
+            assert any(t.dims.size for t in tables.values())
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7])
+    def test_closed_box_fills_or_closes_to_the_orthants(self, m):
+        # up to d = 3 rows fill their orthants, more are marked and closed
+        rng = np.random.default_rng(m)
+        shape = (4, 3, 5)
+        for _ in range(10):
+            rows = rng.integers(0, 3, size=(m, 3))
+            want = np.zeros(shape, dtype=np.uint8)
+            for row in rows:
+                want[tuple(slice(x, None) for x in row)] = 1
+            box = monomial_core._closed_box(rows, shape)
+            assert box.dtype == np.uint8 and np.array_equal(box, want)
+
     def test_box_backed_ideals_agree_with_generator_backed(self):
         ideals = corpus(20261019, 40, (2, 3, 4, 5)) + [
             # rho(I^2) = (3, 3, 2) < 2 * rho(I): x1^4*x2^2*x3^2 is a multiple

@@ -738,6 +738,18 @@ class TestValidation:
             with pytest.raises(ValueError, match="2\\*\\*31 - 1"):
                 _validate_char(big)
 
+    @pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+    def test_primes_are_accepted(self, p):
+        assert _validate_char(p) == p
+
+    @pytest.mark.parametrize("n", [4, 9, 25, 3 * 32003, 46337**2])
+    def test_composites_are_rejected(self, n):
+        # an even number, squares and a product of odd primes; 46337 is the
+        # largest prime below isqrt(MAX_CHAR), so its square's one divisor
+        # in range is the trial bound isqrt(n) itself
+        with pytest.raises(ValueError, match=f"characteristic {n} is composite"):
+            _validate_char(n)
+
     def test_largest_char_matches_rationals(self):
         # complexes on at most 5 vertices are torsion-free
         rng = np.random.default_rng(29)

@@ -545,12 +545,16 @@ class TestMaskDedup:
         assert np.array_equal(inverse, want)
         assert np.array_equal(rows[inverse], masks)
 
+    # keys below SPAN * max(n, MIN) take the presence table, at any count
     @pytest.mark.parametrize("n, top, dense", [
-        (MIN - 1, 3 * (MIN - 1), False),
+        (7, SPAN * MIN - 1, True),
+        (7, SPAN * MIN, False),
+        (MIN - 1, 3 * (MIN - 1), True),
         (MIN, 3 * MIN, True),
         (MIN, SPAN * MIN - 1, True),
         (MIN, SPAN * MIN, False),
         (5 * MIN, SPAN * 5 * MIN - 1, True),
+        (5 * MIN, SPAN * 5 * MIN, False),
     ])
     def test_thresholds(self, monkeypatch, n, top, dense):
         sorted_sizes = recording_unique(monkeypatch)
@@ -580,27 +584,37 @@ class TestMaskDedup:
         assert sorted_sizes == [n]
 
     def test_cycle_grid_tables_take_the_presence_table(self, monkeypatch):
-        # a cycle-grid-shaped table: its one scan keeps at least MIN cells
-        # outside the ideal, and they are deduplicated without a sort, into
-        # a narrow inverse; the table equals the one the sort gives
+        # a cycle-grid-shaped table, whose one scan keeps at least MIN cells
+        # outside the ideal, and a small table of a few dozen: both dedup
+        # their keys without a sort, into a narrow inverse. With the span
+        # lowered until the largest key reaches SPAN * max(count, MIN), the
+        # same keys take the sort and give the same table.
         sorted_sizes = recording_unique(monkeypatch)
         deduped = []
         unique_rows = tk._unique_rows
 
         def recording(masks):
             rows, inverse = unique_rows(masks)
-            deduped.append((masks.shape[0], rows.shape[0], inverse.dtype))
+            deduped.append((masks.shape[0], int(masks.max()), rows.shape[0],
+                            inverse.dtype))
             return rows, inverse
 
         monkeypatch.setattr(tk, "_unique_rows", recording)
-        J = saturate_irrelevant(power(cycle_ideal(6), 5))
-        dense = cohomology_table(J, 1)
-        [(keys, rows, dtype)] = deduped
-        assert keys >= self.MIN and sorted_sizes == []
-        assert dtype == np.min_scalar_type(rows)
-        monkeypatch.setattr(_kernels, "_DENSE_DEDUP_MIN_KEYS", keys + 1)
-        assert cohomology_table(J, 1) == dense and sorted_sizes == [keys]
-        assert dense.dims.size > 0
+        grid = saturate_irrelevant(power(cycle_ideal(6), 5))
+        small = parse_ideal("x1^2*x2, x2^3*x3, x1*x3^2", 3)
+        for J, many in ((grid, True), (small, False)):
+            deduped.clear()
+            dense = cohomology_table(J, 1)
+            [(keys, top, rows, dtype)] = deduped
+            assert (keys >= self.MIN) == many and sorted_sizes == []
+            assert dtype == np.min_scalar_type(rows)
+            assert dense.dims.size > 0
+            with monkeypatch.context() as m:
+                m.setattr(_kernels, "_DENSE_DEDUP_SPAN",
+                          top // max(keys, self.MIN))
+                assert cohomology_table(J, 1) == dense
+            assert sorted_sizes == [keys]
+            sorted_sizes.clear()
         J = saturate_irrelevant(power(cycle_ideal(6), 4))
         want = oracles.cycle_table_oracle(6, 4, 1)
         assert entry_map(cohomology_table(J, 1)) == want
@@ -701,7 +715,6 @@ class TestColumnarTable:
     def test_invariants_equal_the_entry_formulas(self, tables):
         for t in tables:
             fl, lo, hi = t.finite_length, table_indeg(t), table_topdeg(t)
-            assert "entries" not in vars(t)
             e = t.entries
             assert fl == all(not p.G for p in e)
             if not fl:
@@ -714,7 +727,9 @@ class TestColumnarTable:
                 assert hi.value == max(p.total_degree for p in e)
             else:
                 assert hi == ExtendedDegree.neg_inf()
-            assert t.entries is e and len(e) == t.dims.size
+            # a view over sorted_rows: a fresh dict on every access
+            assert t.entries == e and t.entries is not e
+            assert len(e) == t.dims.size
             assert all(dim > 0 for dim in e.values())
 
     def test_order_is_the_pattern_key(self, tables):
@@ -803,7 +818,15 @@ class TestColumnarTable:
             built.extend(out.values())
             return out
 
+        def no_entries(self):
+            raise AssertionError("a table's rows were built as patterns")
+
         monkeypatch.setattr(tk, "cohomology_tables", recording)
+        # ``entries`` is built by ``sorted_entries`` on every access
+        monkeypatch.setattr(CohomologyTable, "sorted_entries", no_entries)
+        with pytest.raises(AssertionError, match="built as patterns"):
+            cohomology_table(cycle_ideal(5), 1).entries
+        built.clear()
         J = saturate_irrelevant(power(cycle_ideal(5), 3))
         indeg(J, 1, 0)
         topdeg(J, 1, 0)
@@ -815,7 +838,6 @@ class TestColumnarTable:
             t.to_json()
             t.sorted_rows()
             assert t == rows_permuted(t, slice(None, None, -1))
-        assert all("entries" not in vars(t) for t in built)
         # the command writes its JSON, CSV and text from the arrays too
         for fmt in ("json", "csv", "text"):
             built.clear()
@@ -824,7 +846,6 @@ class TestColumnarTable:
                              "--powers", "2..3", "--format", fmt]) == 0
             assert capsys.readouterr().out
             assert len(built) == 2 * 6 and sum(t.dims.size for t in built) > 0
-            assert all("entries" not in vars(t) for t in built)
 
 
 class TestTableWriter:
