@@ -14,10 +14,12 @@ from fractions import Fraction
 from .errors import ResourceCapError
 from .monomial_core import (
     MonomialIdeal,
+    _check_power,
     krull_dimension,
     power,
     radical,
     saturate_irrelevant,
+    var_degree_bounds,
 )
 from .takayama import (
     DEFAULT_PATTERN_CAP,
@@ -128,6 +130,40 @@ def _power_ideal(
         return saturate_irrelevant(J, pattern_cap) if saturated else J
     except ResourceCapError as exc:
         raise exc.for_power(n, i) from exc
+
+
+def _check_powers(
+    I: MonomialIdeal, n_max: int, pattern_cap: int, i=None
+) -> None:
+    """Raise, before any power is computed, what ``power`` raises at the
+    smallest n in 2..n_max it refuses (``power(I, 1)`` checks nothing), a
+    cap trip naming n and, when given, i, as ``_power_ideal``'s do. Once
+    ``_check_power`` fails it fails for every larger n, so that n is found
+    by bisection."""
+    if n_max < 2 or I.is_zero or I.is_unit:
+        return
+    rho = var_degree_bounds(I).rho
+
+    def refused(n: int) -> bool:
+        try:
+            _check_power(rho, n, pattern_cap)
+        except (ValueError, ResourceCapError):
+            return True
+        return False
+
+    if not refused(n_max):
+        return
+    lo, hi = 1, n_max
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if refused(mid):
+            hi = mid
+        else:
+            lo = mid
+    try:
+        _check_power(rho, hi, pattern_cap)
+    except ResourceCapError as exc:
+        raise exc.for_power(hi, i) from exc
 
 
 def _row_for_power(

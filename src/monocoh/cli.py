@@ -1,9 +1,12 @@
 """Command-line surface: batch computation with text, JSON, and CSV output.
 
 CSV output streams each power's rows as that power is computed, and so
-does ``cohomology``'s text; JSON output, and the text of the sequence
-commands, is buffered and emitted once at the end. For a fixed command
-line the output is byte-identical across runs.
+does the text of ``cohomology`` and ``reg``; JSON output, and the text of
+``indeg`` and ``dichotomy``, is buffered and emitted once at the end. In
+text and JSON, ``indeg``, ``dichotomy`` and ``reg`` run ``power``'s checks
+over the whole range first, so a range holding a power that ``power``
+refuses exits before any power is computed. For a fixed command line the
+output is byte-identical across runs.
 
 Exit status: 0 success, 2 usage or parse error, 3 resource cap exceeded,
 4 internal consistency violation.
@@ -93,6 +96,16 @@ def _sequence_inputs(args: argparse.Namespace) -> tuple[mc.MonomialIdeal, int]:
             "sequence commands need a contiguous range from 1, e.g. '1..4'"
         )
     return I, hi
+
+
+def _check_buffered_powers(
+    args: argparse.Namespace, I: mc.MonomialIdeal, hi: int, i=None
+) -> None:
+    """Text and JSON print a sequence only once it is whole, so the powers
+    1..hi that ``power`` would refuse are refused before the first one is
+    computed. CSV streams its rows and trips where it trips."""
+    if args.fmt != "csv":
+        asy._check_powers(I, hi, args.pattern_cap, i)
 
 
 def _add_common(p: argparse.ArgumentParser, powers_default: str) -> None:
@@ -299,6 +312,7 @@ def _power_rows(
 def _cmd_indeg(args: argparse.Namespace) -> int:
     I, hi = _sequence_inputs(args)
     tk._validate_i(args.d, args.i)
+    _check_buffered_powers(args, I, hi, args.i)
     report = _power_rows(args, I, hi)
     if args.fmt == "json":
         _emit(json.dumps(report.to_dict(), separators=(",", ":")))
@@ -316,6 +330,7 @@ def _cmd_indeg(args: argparse.Namespace) -> int:
 def _cmd_dichotomy(args: argparse.Namespace) -> int:
     I, hi = _sequence_inputs(args)
     asy._require_dichotomy_i(I, args.i)
+    _check_buffered_powers(args, I, hi, args.i)
     report = _power_rows(args, I, hi)
     verdict = asy._dichotomy_verdict(report, args.pattern_cap)
     if args.fmt == "json":
@@ -350,6 +365,7 @@ def _cmd_reg(args: argparse.Namespace) -> int:
     I, hi = _sequence_inputs(args)
     if args.saturated:
         raise ValueError("reg works on the powers themselves; drop --saturated")
+    _check_buffered_powers(args, I, hi)
     regs = []
     for n in range(1, hi + 1):
         r = asy._power_regularity(I, n, args.char, args.pattern_cap)

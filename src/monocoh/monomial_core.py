@@ -412,21 +412,14 @@ def power(
     once, and the result is that box cropped to its own rho + 1, which can
     lie below n*rho: no generator list is built (see ``MonomialIdeal``).
 
-    Raises ValueError when an exponent of I^n would not fit in int64, and
-    then ResourceCapError when the box has more than ``pattern_cap`` cells.
+    Raises what ``_check_power`` raises, before the box is allocated.
     """
     if n < 1:
         raise ValueError("power requires n >= 1")
     if n == 1 or I.is_zero or I.is_unit:
         return I
     rho = var_degree_bounds(I).rho
-    for j, r in enumerate(rho):
-        if r * n > _INT64_MAX:
-            raise ValueError(
-                f"exponent overflow: x{j + 1} reaches exponent {r}*{n} = "
-                f"{r * n} in I^{n}, beyond the int64 limit {_INT64_MAX}"
-            )
-    _check_box("power", (r * n for r in rho), pattern_cap)
+    _check_power(rho, n, pattern_cap)
     shape = tuple(r * n + 1 for r in rho)
     strides = np.array([math.prod(shape[j + 1 :]) for j in range(I.d)], dtype=np.int64)
     step = I._exps @ strides
@@ -442,6 +435,21 @@ def power(
     box = flags.view(np.uint8).reshape(shape)
     _kernels.upward_close(box)
     return MonomialIdeal._from_box(box)
+
+
+def _check_power(rho: Sequence[int], n: int, pattern_cap: int) -> None:
+    """The checks ``power`` makes on I^n, for an ideal I with bounds
+    ``rho``: ValueError when an exponent of I^n would not fit in int64, and
+    then ResourceCapError when the box of shape n*rho + 1 has more than
+    ``pattern_cap`` cells. Once either fails at n, it fails at every larger
+    n."""
+    for j, r in enumerate(rho):
+        if r * n > _INT64_MAX:
+            raise ValueError(
+                f"exponent overflow: x{j + 1} reaches exponent {r}*{n} = "
+                f"{r * n} in I^{n}, beyond the int64 limit {_INT64_MAX}"
+            )
+    _check_box("power", (r * n for r in rho), pattern_cap)
 
 
 def saturate_irrelevant(

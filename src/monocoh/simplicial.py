@@ -15,17 +15,19 @@ cohomology table builds one frame and asks about many words; every other
 caller builds the frame of its one complex. The rank of ∂_1 (edges to
 vertices) is V - c, vertices minus connected components, over Q and over
 every F_p: ∂_1 is the oriented incidence matrix of the graph, which is
-totally unimodular. So a graph, or any word asked only about degrees up to
-0, is answered from the bit counts V and E and a walk over the edge bits.
-On n vertices, the top degrees q >= max(1, n - 3) of any other word come
-from combinatorial Alexander duality: 0 from q = n - 1 up, and at q = n - 2
-and q = n - 3 from looking up the subsets of n - 1 and n - 2 vertices in
-the frame. These degrees are the same over every field. Only the middle
-degrees 1 <= q <= n - 4 build face lists and boundary matrices, from ∂_2
-up; their ranks over the rationals and over F_p come from one sparse
-elimination on unit pivots in Python integers (``±1`` over Q, any nonzero
-residue over F_p); over Q, rows left with no ``±1`` entry go to
-fraction-free big-integer elimination. A cone point skips those degrees
+totally unimodular. So ``_word_homology`` answers a graph word itself,
+from the bit counts V and E and a walk over the edge bits, before any
+chain complex is set up; ``_chain_dims`` answers any other word asked only
+about degrees up to 0 the same way. On n vertices, the top degrees
+q >= max(1, n - 3) of a word that is not a graph come from combinatorial
+Alexander duality: 0 from q = n - 1 up, and at q = n - 2 and q = n - 3
+from looking up the subsets of n - 1 and n - 2 vertices in the frame.
+These degrees are the same over every field. Only the middle degrees
+1 <= q <= n - 4 build face lists and boundary matrices, from ∂_2 up; their
+ranks over the rationals and over F_p come from one sparse elimination on
+unit pivots in Python integers (``±1`` over Q, any nonzero residue over
+F_p); over Q, rows left with no ``±1`` entry go to fraction-free
+big-integer elimination. A cone point skips those degrees
 outright, and is looked for only when a matrix rank is still needed.
 Dimensions are all the cohomology formula consumes, so no Smith normal form
 is computed.
@@ -380,17 +382,34 @@ def _word_homology(
     complex whose faces are the empty face and ``frame.faces[k]`` for every
     set bit k of ``word``.
 
-    A word with a bit above the edge range, on n vertices, has its degrees
-    q >= max(1, n - 3) answered by Alexander duality (``_dual_dim``): 0 from
-    q = n - 1 up, and at q = n - 2 and q = n - 3 from the presence of the
-    subsets of n - 1 and n - 2 vertices, the same over every field. Every
-    other degree, and every degree of a graph word, comes from the chain
-    complex (``_chain_dims``), so only 1 <= q <= n - 4 builds face lists and
-    boundary matrices.
+    A graph word (no bit above the edge range), with V vertices, E edges
+    and r_1 = V - c the rank of ∂_1 over c components, is answered here:
+    H~_{-1} = [V = 0], H~_0 = V - r_1 - 1 when V > 0, H~_1 = E - r_1, and
+    every higher degree is 0. The union-find for r_1 runs only when q = 0
+    or q = 1 is asked about and the word has an edge.
+
+    Any other word, on n vertices, has its degrees q >= max(1, n - 3)
+    answered by Alexander duality (``_dual_dim``): 0 from q = n - 1 up,
+    and at q = n - 2 and q = n - 3 from the presence of the subsets of
+    n - 1 and n - 2 vertices, the same over every field. Its other degrees
+    come from the chain complex (``_chain_dims``), so only 1 <= q <= n - 4
+    builds face lists and boundary matrices.
     """
     vertices = word & ((1 << frame.nv) - 1)
     n = vertices.bit_count()
-    low = max(1, n - 3) if word >> frame.graph_end else qs[-1] + 1
+    if not word >> frame.graph_end:
+        edges = word >> frame.nv
+        r1 = 0
+        if edges and (0 in qs or 1 in qs):
+            r1 = _forest_size(edges, frame.ends)
+        dims = {}
+        for q in qs:
+            val = (int(not n) if q == -1 else n - r1 - 1 if q == 0 and n
+                   else edges.bit_count() - r1 if q == 1 else 0)
+            if val:
+                dims[q] = val
+        return dims
+    low = max(1, n - 3)
     chain = [q for q in qs if q < low]
     dims = _chain_dims(word, frame, chain, char) if chain else {}
     dual = [q for q in qs if low <= q <= n - 2]
@@ -439,7 +458,9 @@ def _chain_dims(
     word: int, frame: _FaceFrame, qs: Sequence[int], char: int
 ) -> dict[int, int]:
     """Nonzero dims of H~_q, for q in the ascending nonempty ``qs``, of the
-    complex of ``word``, from its chain complex.
+    complex of ``word``, from its chain complex. Graph words never get
+    here: ``_word_homology`` answers them first, so ``word`` has a face of
+    three or more vertices.
 
     With n_q the number of q-cells (n_{-1} = 1, the empty face) and r_q the
     rank of ∂_q from the q-cells to the (q-1)-cells, dim H~_q = n_q - r_q -
@@ -447,11 +468,10 @@ def _chain_dims(
     rank r_0 = [V > 0]. ∂_1 gives edge {u < v} the column e_v - e_u: it is
     the oriented incidence matrix of the graph, which is totally unimodular,
     so its rank over Q and over every F_p is V - c, with c the number of
-    connected components. A word with no bit above the edge range, or asked
-    only about q <= 0, needs nothing more: H~_{-1} = [V = 0], H~_0 =
-    c - [V > 0] and H~_1 = E - V + c. Only the other words expand into face
-    lists, and their boundary matrices are built from ∂_2 up, each once, so
-    adjacent degrees share the rank between them.
+    connected components. A word asked only about q <= 0 needs nothing
+    more: H~_{-1} = [V = 0] and H~_0 = c - [V > 0]. Otherwise the word
+    expands into face lists, and its boundary matrices are built from ∂_2
+    up, each once, so adjacent degrees share the rank between them.
 
     Cone rule, tried only when some ∂_q with q >= 2 still needs a matrix:
     with q_max the largest requested degree that has cells, if some vertex v
@@ -469,7 +489,7 @@ def _chain_dims(
     ranks = {0: 1 if vertices else 0}
     if edges and (0 in qs or 1 in qs):
         ranks[1] = _forest_size(edges, frame.ends)
-    if word >> graph_end and qs[-1] >= 1:
+    if qs[-1] >= 1:
         by_dim: dict[int, list[int]] = {-1: [0]}
         # walked 64 bits at a time, so a long word costs linear time
         raw = word.to_bytes((word.bit_length() + 7) // 8, "little")

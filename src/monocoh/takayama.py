@@ -30,10 +30,11 @@ independent of evaluation order; everything here is pure.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -370,10 +371,12 @@ def cohomology_dim_at(
     return _word_homology((1 << len(frame.faces)) - 1, frame, [q], char).get(q, 0)
 
 
-def _pattern_count(rho: Sequence[int], d: int, max_g: int) -> int:
-    """Patterns the cap counts: sum over |G| <= max_g of the clamped free box
-    volume prod_{j not in G} (rho_j + 1), via a subset-size DP. Its G = ∅
-    term prod (rho_j + 1) is the number of box cells the scan visits."""
+def _pattern_counts(rho: Sequence[int], d: int) -> list[int]:
+    """Patterns the cap counts, for every max_g = 0..d: the sum over
+    |G| <= max_g of the clamped free box volume prod_{j not in G}
+    (rho_j + 1). One subset-size DP gives the coefficient of every |G|, and
+    entry max_g is their prefix sum. Entry 0, prod (rho_j + 1), is the
+    number of box cells the scan visits."""
     coeffs = [1]
     for j in range(d):
         nxt = [0] * (len(coeffs) + 1)
@@ -381,7 +384,7 @@ def _pattern_count(rho: Sequence[int], d: int, max_g: int) -> int:
             nxt[g] += val * (rho[j] + 1)
             nxt[g + 1] += val
         coeffs = nxt
-    return sum(coeffs[: max_g + 1])
+    return list(itertools.accumulate(coeffs))
 
 
 def _row_keys(masks: np.ndarray) -> np.ndarray:
@@ -429,40 +432,29 @@ def _row_word(row: Sequence[int]) -> int:
     return sum(w << (64 * k) for k, w in enumerate(row))
 
 
-def cohomology_tables(
-    I: MonomialIdeal,
-    i_values: Iterable[int],
-    char: int = 0,
-    pattern_cap: int = DEFAULT_PATTERN_CAP,
-) -> dict[int, CohomologyTable]:
-    """The tables of every requested i from one scan of the membership box.
+class _ScanStage(NamedTuple):
+    """What one scan of the membership box leaves for its readers: the
+    sorted requested degrees ``i_list`` and the validated ``char``; ``rho``,
+    the box being of shape rho + 1; ``outside``, the flat indices of the
+    cells outside the ideal, and ``inverse``, the distinct complex of each;
+    and ``dims_u``, dim H^i of every distinct complex for every i of
+    ``i_list`` (one row per i), or None when every one of them is 0."""
 
-    Each cell b of the ``rho + 1`` box is one degree pattern: G is the set of
-    axes where b_j = rho_j, and a⁺ = b off G. One ``scan_face_masks`` call
-    keys every cell by its face word and min(|G|, max i + 1). The candidate
-    faces are the faces of Δ(I) that avoid the absent variables (rho_j = 0,
-    so j is in every G) and have at most max i + 1 vertices: H~_q reads faces
-    of up to q + 2 vertices, and q = i - |G| - 1 is widest at G = ∅. They
-    are read off the same box's corner at 0, so a table builds no box beyond
-    the one it scans (none for a box-backed ideal). A size |G| > i
-    contributes nothing to table i, since its homology degree is below -1,
-    so cells with |G| > max i share the top field value and yield nothing.
+    i_list: list[int]
+    char: int
+    rho: tuple[int, ...]
+    outside: np.ndarray | None
+    inverse: np.ndarray | None
+    dims_u: np.ndarray | None
 
-    Cells inside the ideal carry the void complex (most of a power's box)
-    and are dropped first. ``_unique_rows`` deduplicates the keys of the rest
-    once: through a presence table when they are single words below
-    ``_DENSE_DEDUP_SPAN`` times the larger of their count and
-    ``_DENSE_DEDUP_MIN_KEYS`` (the keys of a table over few faces, and the
-    dense keys of powers), else by ``np.unique``'s sort. Each distinct
-    complex yields H~_q for every requested q at its |G|, filed
-    under i = q + |G| + 1. The candidate faces are ordered by size, so the
-    vertices and edges are two bit ranges of the key, and one
-    ``_FaceFrame`` over them lets ``_word_homology`` read every distinct
-    face word: a graph needs no face list. When no distinct complex has a
-    nonzero dimension, the tables come back empty with nothing decoded.
-    Otherwise only the cells with a nonzero dimension are decoded, from
-    their flat index, into (G, a⁺) rows, left in flat-index order: every
-    reader orders them through ``_ordered_rows``.
+
+def _scan_stage(
+    I: MonomialIdeal, i_values: Iterable[int], char: int, pattern_cap: int
+) -> _ScanStage:
+    """The shared stage of ``cohomology_tables`` and ``regularity``: one
+    scan of the membership box, one dedup of its keys, and the homology of
+    every distinct complex at every requested i (see ``cohomology_tables``).
+    An empty request scans nothing.
 
     Raises ResourceCapError, naming the first i over ``pattern_cap``, before
     anything is scanned.
@@ -471,16 +463,16 @@ def cohomology_tables(
     d = _validate_d(I.d)
     i_list = sorted({_validate_i(d, i) for i in i_values})
     char = _validate_char(char)
-    if not i_list:
-        return {}
     rho = var_degree_bounds(I).rho
+    if not i_list:
+        return _ScanStage(i_list, char, rho, None, None, None)
+    counts = _pattern_counts(rho, d)
     for i in i_list:
-        npatterns = _pattern_count(rho, d, i)
-        if npatterns > pattern_cap:
+        if counts[i] > pattern_cap:
             raise ResourceCapError(
-                f"degree-pattern count {npatterns} for i={i} exceeds the cap "
+                f"degree-pattern count {counts[i]} for i={i} exceeds the cap "
                 f"{pattern_cap}",
-                required=npatterns,
+                required=counts[i],
                 cap=pattern_cap,
             )
     box = membership_box(I)
@@ -510,34 +502,82 @@ def cohomology_tables(
         for q, dim in _word_homology(key & face_bits, frame, qs_of[g_size],
                                      char).items():
             nonzero.append((k_of_i[q + g_size + 1], u, dim))
+    dims_u = None
+    if nonzero:
+        dims_u = np.zeros((len(i_list), rows.shape[0]), dtype=np.int64)
+        ks, us, vals = zip(*nonzero)
+        dims_u[ks, us] = vals
+    return _ScanStage(i_list, char, rho, outside, inverse, dims_u)
+
+
+def cohomology_tables(
+    I: MonomialIdeal,
+    i_values: Iterable[int],
+    char: int = 0,
+    pattern_cap: int = DEFAULT_PATTERN_CAP,
+) -> dict[int, CohomologyTable]:
+    """The tables of every requested i from one scan of the membership box.
+
+    Each cell b of the ``rho + 1`` box is one degree pattern: G is the set of
+    axes where b_j = rho_j, and a⁺ = b off G. One ``scan_face_masks`` call
+    keys every cell by its face word and min(|G|, max i + 1). The candidate
+    faces are the faces of Δ(I) that avoid the absent variables (rho_j = 0,
+    so j is in every G) and have at most max i + 1 vertices: H~_q reads faces
+    of up to q + 2 vertices, and q = i - |G| - 1 is widest at G = ∅. They
+    are read off the same box's corner at 0, so a table builds no box beyond
+    the one it scans (none for a box-backed ideal). A size |G| > i
+    contributes nothing to table i, since its homology degree is below -1,
+    so cells with |G| > max i share the top field value and yield nothing.
+
+    Cells inside the ideal carry the void complex (most of a power's box)
+    and are dropped first. ``_unique_rows`` deduplicates the keys of the rest
+    once: through a presence table when they are single words below
+    ``_DENSE_DEDUP_SPAN`` times the larger of their count and
+    ``_DENSE_DEDUP_MIN_KEYS`` (the keys of a table over few faces, and the
+    dense keys of powers), else by ``np.unique``'s sort. Each distinct
+    complex yields H~_q for every requested q at its |G|, filed
+    under i = q + |G| + 1. The candidate faces are ordered by size, so the
+    vertices and edges are two bit ranges of the key, and one
+    ``_FaceFrame`` over them lets ``_word_homology`` read every distinct
+    face word: a graph needs no face list. That much is ``_scan_stage``,
+    which ``regularity`` reads too. When no distinct complex has a
+    nonzero dimension, the tables come back empty with nothing decoded.
+    Otherwise only the cells with a nonzero dimension are decoded, from
+    their flat index, into (G, a⁺) rows, left in flat-index order: every
+    reader orders them through ``_ordered_rows``.
+
+    Raises ResourceCapError, naming the first i over ``pattern_cap``, before
+    anything is scanned.
+    """
+    i_list, char, rho, outside, inverse, dims_u = _scan_stage(
+        I, i_values, char, pattern_cap)
+    d = len(rho)
     # a⁺_j < rho_j: the narrowest unsigned type holding max rho suffices
     a_type = np.min_scalar_type(max(rho))
-    if not nonzero:
+    if dims_u is None:
         none = np.zeros(0, dtype=np.int64)
         a_plus = np.zeros((0, d), dtype=a_type)
         return {
             i: CohomologyTable(i=i, char=char, a_plus=a_plus, g_masks=none,
-                               dims=none, rho=tuple(rho))
+                               dims=none, rho=rho)
             for i in i_list
         }
-    dims_u = np.zeros((len(i_list), rows.shape[0]), dtype=np.int64)
-    ks, us, vals = zip(*nonzero)
-    dims_u[ks, us] = vals
     hits = np.flatnonzero(dims_u.any(axis=0)[inverse])
     cells, row_of = outside[hits], inverse[hits]
-    coords = np.array(np.unravel_index(cells, box.shape), dtype=a_type)
+    coords = np.array(np.unravel_index(cells, [r + 1 for r in rho]),
+                      dtype=a_type)
     on_g = coords == np.array(rho)[:, None]
     g_masks = (1 << np.arange(d, dtype=np.int64)) @ on_g
     coords[on_g] = 0
     a_plus = coords.T
     tables = {}
-    for i in i_list:
-        dims = dims_u[k_of_i[i]][row_of]
+    for k, i in enumerate(i_list):
+        dims = dims_u[k][row_of]
         # with one degree every decoded row has a nonzero dimension
         hit = slice(None) if len(i_list) == 1 else dims != 0
         tables[i] = CohomologyTable(
             i=i, char=char, a_plus=a_plus[hit], g_masks=g_masks[hit],
-            dims=dims[hit], rho=tuple(rho),
+            dims=dims[hit], rho=rho,
         )
     return tables
 
@@ -604,18 +644,30 @@ def regularity(
 
     Grothendieck vanishing empties every table beyond dim R/I, so the scan
     stops there; non-vanishing at dim R/I itself guarantees a finite answer.
+    The answer is read off ``_scan_stage`` with no table built: a pattern's
+    degrees reach at most |a⁺| - |G| (coordinates -1 on G), so each cell
+    whose complex is nonzero at some i offers |a⁺| - |G| plus the largest
+    such i, and the regularity is the largest offer.
     """
     _require_module(I)
-    tables = cohomology_tables(I, range(krull_dimension(I) + 1), char, pattern_cap)
-    best: int | None = None
-    for i, table in tables.items():
-        td = table_topdeg(table)
-        if td.is_finite:
-            cand = int(td.value) + i
-            best = cand if best is None or cand > best else best
-    if best is None:
+    i_list, _, rho, outside, inverse, dims_u = _scan_stage(
+        I, range(krull_dimension(I) + 1), char, pattern_cap)
+    if dims_u is None:
         raise InternalConsistencyError(
             "no nonzero cohomology found for i <= dim R/I; nonvanishing at "
             "dim R/I should be guaranteed"
         )
-    return best
+    # every offer lies in [-d, d * max rho + d]: one narrow signed type holds
+    # the coordinates, -1 on G, and their sums
+    d = len(rho)
+    w_type = np.min_scalar_type(-(d * max(rho) + d + 1))
+    # i_list is 0..dim R/I: the largest nonzero i of every distinct complex,
+    # -1 where there is none
+    levels = np.arange(len(i_list), dtype=w_type)[:, None]
+    top_i = np.where(dims_u != 0, levels, -1).max(axis=0)
+    cell_top = top_i[inverse]
+    hits = np.flatnonzero(cell_top >= 0)
+    coords = np.array(np.unravel_index(outside[hits], [r + 1 for r in rho]),
+                      dtype=w_type)
+    coords[coords == np.array(rho)[:, None]] = -1
+    return int((coords.sum(axis=0, dtype=w_type) + cell_top[hits]).max())

@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from monocoh.monomial_core import MonomialIdeal
+from monocoh.monomial_core import MonomialIdeal, krull_dimension
+from monocoh.takayama import cohomology_table, table_topdeg
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +551,19 @@ def hochster_table_oracle(I: MonomialIdeal, i: int, char: int) -> dict:
             a_plus = (0,) * d
             entries[(tuple(sorted(G)), a_plus)] = dim
     return entries
+
+
+def regularity_from_tables(I: MonomialIdeal, char: int) -> int:
+    """reg(R/I) by its definition, max_i (topdeg H^i_m(R/I) + i) over
+    i <= dim R/I, each topdeg read off a whole table of the package by
+    ``table_topdeg``: the decode and the per-degree tables that
+    ``regularity`` skips."""
+    tops = []
+    for i in range(krull_dimension(I) + 1):
+        top = table_topdeg(cohomology_table(I, i, char))
+        if top.is_finite:
+            tops.append(top.value + i)
+    return max(tops)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Power sequences, dichotomy verdicts, and the regularity asymptote."""
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from monocoh.errors import ResourceCapError
 from monocoh.monomial_core import (
+    _check_power,
     krull_dimension,
     parse_ideal,
     power,
@@ -15,6 +18,7 @@ from monocoh.takayama import ExtendedDegree, cohomology_table, regularity
 from monocoh.asymptotics import (
     PowerRow,
     PowerSequenceReport,
+    _check_powers,
     dichotomy_report,
     power_sequence,
     ratio_summary,
@@ -195,3 +199,59 @@ class TestRatioSummary:
         rep = power_sequence(parse_ideal("x1*x2", 2), 1, 2)
         with pytest.raises(ValueError):
             ratio_summary(rep)
+
+
+class TestPowerRangeCheck:
+    """``_check_powers`` raises what ``power`` would raise at the smallest
+    refused n of the range, found by bisection."""
+
+    @staticmethod
+    def refusal(rho, n, cap, i):
+        """(type, message) of what ``power`` raises at n, or None."""
+        try:
+            _check_power(rho, n, cap)
+        except ResourceCapError as exc:
+            return ResourceCapError, str(exc.for_power(n, i))
+        except ValueError as exc:
+            return ValueError, str(exc)
+        return None
+
+    def test_bisection_finds_the_first_refused_power(self):
+        rng = random.Random(20261021)
+        kinds = set()
+        for _ in range(300):
+            d = rng.randint(1, 4)
+            exps = [rng.choice([0, 1, 2, 3, 2**40, 2**61]) for _ in range(d)]
+            if not any(exps):
+                exps[0] = 1
+            I = parse_ideal("*".join(f"x{j + 1}^{e}" for j, e in
+                                     enumerate(exps) if e), d)
+            n_max = rng.choice([1, 2, 3, 7, 40, 10**6, 2**62])
+            cap = rng.choice([1, 10, 400, 10**7, 2**200])
+            i = rng.choice([None, 1])
+            try:
+                _check_powers(I, n_max, cap, i)
+                got = None
+            except (ValueError, ResourceCapError) as exc:
+                got = type(exc), str(exc)
+            if n_max <= 40:
+                # the linear reference: every n from 2 up, as power sees them
+                want = next(filter(None, (self.refusal(exps, n, cap, i)
+                                          for n in range(2, n_max + 1))), None)
+            elif got is None:
+                want = self.refusal(exps, n_max, cap, i)
+            else:
+                # the refused n is named in the message, and n - 1 passes
+                n = int(re.search(r"power n=(\d+)|I\^(\d+),", got[1])
+                        .group(1, 2)[got[0] is ValueError])
+                assert 2 <= n <= n_max
+                assert n == 2 or self.refusal(exps, n - 1, cap, i) is None
+                want = self.refusal(exps, n, cap, i)
+            assert got == want, (exps, n_max, cap)
+            kinds.add(got and got[0])
+        assert kinds == {None, ValueError, ResourceCapError}
+
+    def test_power_one_and_trivial_ideals_are_never_refused(self):
+        _check_powers(parse_ideal("x1^9", 1), 1, 1)
+        _check_powers(parse_ideal("0", 2), 2**62, 1)
+        _check_powers(parse_ideal("1", 2), 2**62, 1)

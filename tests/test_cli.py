@@ -480,6 +480,37 @@ class TestExitCodes:
         assert code == 0 and len(out.splitlines()) == (3 if fmt == "csv" else 2)
         assert captured.out == out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv, where", [
+        (["indeg", "--i", "1"], "n=3, i=1"),
+        (["dichotomy", "--i", "1"], "n=3, i=1"),
+        (["reg"], "n=3"),
+    ], ids=["indeg", "dichotomy", "reg"])
+    def test_text_and_json_refuse_a_power_before_the_first(
+            self, capsys, monkeypatch, argv, where, fmt):
+        # C_5^3's power box has 4^5 = 1,024 cells: text and JSON refuse it
+        # before any power is computed, where CSV streams the row of n = 1
+        # and trips on the table of n = 2 (see the dichotomy CSV test above)
+        built = []
+        monkeypatch.setattr(asy, "power", lambda *a: built.append(a))
+        code = cli.main(argv + ["--ideal", CYCLE5, "--d", "5", "--powers",
+                                "1..4", "--pattern-cap", "400", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and built == []
+        assert captured.err == (f"error: power {where}: power box of 1024 "
+                                "cells exceeds the cap 400\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_text_and_json_refuse_an_exponent_overflow_first(self, capsys, fmt):
+        # CSV would trip on the table of n = 1 first
+        code = cli.main(["indeg", "--ideal", "x1^4611686018427387904*x2",
+                         "--d", "2", "--i", "0", "--powers", "1..3",
+                         "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: exponent overflow: x1 ")
+        assert "in I^2," in captured.err
+
     @pytest.mark.parametrize("i", ["0", "2"])
     def test_dichotomy_csv_checks_i_before_any_row(self, capsys, i):
         code = cli.main(["dichotomy", "--ideal", "x1*x2", "--d", "2",
@@ -660,11 +691,14 @@ class TestSeededFuzz:
 
     @staticmethod
     def fixed_cases() -> list[tuple[list[str], int, int]]:
-        """(argv, exit status, CSV lines) of the commands run before the
+        """(argv, exit status, stdout lines) of the commands run before the
         seeded draws: the power boxes of C_7^10 (19,487,171 cells) and of
         C_9^5 (10,077,696) are refused at the default cap and built under a
-        larger one."""
-        cases = []
+        larger one, and a text sequence over four billion powers of x1^2 is
+        refused before its first power, at n = 5,000,000."""
+        cases = [(["indeg", "--ideal", "x1^2", "--d", "4", "--powers",
+                   "1..4000000000", "--i", "0", "--format", "text",
+                   "--saturated"], 3, 0)]
         for d, n, extra, lines in ((7, 10, [], 48049),
                                    (9, 5, ["--saturated"], 3589)):
             argv = ["cohomology", "--ideal", cycle_ideal(d).generators_str(),

@@ -552,6 +552,95 @@ class TestFaceWords:
                 assert homology_dims_from_masks(faces, 0, degs) == want
 
 
+def random_graphs(rng, count):
+    """(d, face masks) of seeded graphs on at most 7 vertices, the empty
+    face included: each of d <= 7 vertices is present with probability
+    0.8 and each pair of present ones an edge with a random density, so
+    that the irrelevant complex, isolated vertices, forests and cycles all
+    occur."""
+    out = []
+    for _ in range(count):
+        d = int(rng.integers(1, 8))
+        verts = [1 << v for v in range(d) if rng.random() < 0.8]
+        density = rng.random()
+        edges = [a | b for a, b in combinations(verts, 2)
+                 if rng.random() < density]
+        out.append((d, {0, *verts, *edges}))
+    return out
+
+
+class TestGraphWords:
+    """``_word_homology`` answers a graph word (no bit above the edge
+    range) from V, E and the forest size r_1, without ``_chain_dims``."""
+
+    @pytest.fixture
+    def chain_calls(self, monkeypatch):
+        calls = []
+        real = simplicial._chain_dims
+
+        def counting(word, frame, qs, char):
+            calls.append(word >> frame.graph_end)
+            return real(word, frame, qs, char)
+
+        monkeypatch.setattr(simplicial, "_chain_dims", counting)
+        return calls
+
+    def test_graphs_against_the_oracle(self, chain_calls, monkeypatch):
+        forests = []
+        real_forest = simplicial._forest_size
+
+        def counting_forest(edges, ends):
+            forests.append(edges)
+            return real_forest(edges, ends)
+
+        monkeypatch.setattr(simplicial, "_forest_size", counting_forest)
+        rng = np.random.default_rng(20261021)
+        kinds = set()
+        # a hollow triangle and an isolated vertex: H~_0 and H~_1 both 1
+        cases = random_graphs(rng, 80) + [(4, {0, 1, 2, 4, 8, 3, 5, 6})]
+        for d, faces in cases:
+            oracle_faces = {
+                frozenset(v for v in range(d) if m >> v & 1) for m in faces}
+            # a frame of every subset of at most top vertices: with top = 3
+            # the frame reaches above the edge range, the word does not
+            top = int(rng.integers(2, 4))
+            frame = _FaceFrame(sorted((m for m in range(1, 1 << d)
+                                       if m.bit_count() <= top),
+                                      key=int.bit_count))
+            word = sum(1 << k for k, f in enumerate(frame.faces) if f in faces)
+            assert not word >> frame.graph_end
+            for char in (0, 2, 32003):
+                want = {q: oracles.reduced_homology_oracle(oracle_faces, q, char)
+                        for q in range(-1, 3)}
+                kinds.add(tuple(bool(want[q]) for q in range(-1, 2)))
+                for k in range(1, 5):
+                    for degs in combinations(range(-1, 3), k):
+                        forests.clear()
+                        got = _word_homology(word, frame, list(degs), char)
+                        assert got == {q: want[q] for q in degs if want[q]}, (
+                            d, sorted(faces), degs, char)
+                        # r_1 only when some degree reads it
+                        if not {0, 1} & set(degs):
+                            assert forests == []
+        assert chain_calls == []
+        # the irrelevant complex, H~_0 alone, H~_1 alone and both occur
+        assert {(True, False, False), (False, True, False),
+                (False, False, True), (False, True, True)} <= kinds, kinds
+
+    def test_tables_send_only_wider_words_to_the_chain_complex(
+            self, chain_calls, small_corpus):
+        # C_d tables read graph words only; a corpus of mixed ideals also
+        # has words with a face of three vertices, the only ones that reach
+        # _chain_dims
+        for d, n in ((5, 3), (6, 2), (7, 4)):
+            J = saturate_irrelevant(power(cycle_ideal(d), n))
+            takayama.cohomology_tables(J, range(4))
+        assert chain_calls == []
+        for I in small_corpus[:30]:
+            takayama.cohomology_tables(I, range(I.d + 1))
+        assert chain_calls and all(chain_calls)
+
+
 def complexes_on_four_vertices():
     """Every nonvoid complex on at most 4 vertices, as the face masks of a
     downward-closed family of subsets of [4] that holds the empty face."""

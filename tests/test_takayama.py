@@ -19,7 +19,11 @@ from monocoh.monomial_core import (
     saturate_irrelevant,
     var_degree_bounds,
 )
-from monocoh.simplicial import stanley_reisner_complex
+from monocoh.simplicial import (
+    from_facets,
+    stanley_reisner_complex,
+    stanley_reisner_ideal,
+)
 from monocoh.takayama import (
     DEFAULT_PATTERN_CAP,
     CohomologyTable,
@@ -422,7 +426,7 @@ class TestOneScan:
             [(shape, faces, max_i, cells)] = calls
             # the whole box, which is the G = ∅ term of the pattern cap
             assert shape == tuple(r + 1 for r in rho)
-            assert cells == math.prod(shape) == tk._pattern_count(rho, J.d, 0)
+            assert cells == math.prod(shape) == tk._pattern_counts(rho, J.d)[0]
             assert max_i == krull_dimension(J)
             assert all(0 < len(f) <= max_i + 1 for f in faces)
             assert all(rho[j] for f in faces for j in f)
@@ -671,6 +675,58 @@ class TestExtendedDegreeInvariants:
                     assert hi.value + i <= r
 
 
+class TestRegularityOracle:
+    """``regularity`` reads its answer off the scan stage; the oracle reads
+    it off every table, as max_i (topdeg + i)."""
+
+    @staticmethod
+    def artinian_ideals() -> list[MonomialIdeal]:
+        """Ideals with R/I of finite length: a pure power of every variable,
+        plus a few seeded mixed generators."""
+        rng = np.random.default_rng(20261021)
+        out = [parse_ideal("x1^2, x2^3", 2), parse_ideal("x1, x2, x3", 3)]
+        for _ in range(12):
+            d = int(rng.integers(1, 5))
+            gens = [f"x{j + 1}^{int(rng.integers(1, 5))}" for j in range(d)]
+            for _ in range(int(rng.integers(0, 4))):
+                gens.append("*".join(f"x{j + 1}^{int(rng.integers(1, 3))}"
+                                     for j in range(d) if rng.random() < 0.6)
+                            or "x1^3")
+            out.append(parse_ideal(", ".join(gens), d))
+        return out
+
+    @pytest.mark.parametrize("char", [0, 32003])
+    def test_reader_equals_tables(self, small_corpus, char):
+        cases = list(small_corpus) + self.artinian_ideals()
+        # x3 is absent from x1*x2 in d = 3, so it is in every G
+        cases.append(parse_ideal("x1*x2", 3))
+        # Δ is a hollow triangle and a point, nonzero at i = 1 and i = 2 in
+        # degree 0, where the regularity is attained at the larger i
+        hollow = parse_ideal("x1*x2*x3, x1*x4, x2*x4, x3*x4", 4)
+        cases += [hollow, power(hollow, 2), power(hollow, 3)]
+        for d in (5, 6):
+            for n in range(1, 5):
+                J = power(cycle_ideal(d), n)
+                cases += [J, saturate_irrelevant(J)]
+        finite = 0
+        for I in cases:
+            assert regularity(I, char) == oracles.regularity_from_tables(
+                I, char), (I, char)
+            finite += krull_dimension(I) == 0
+        assert finite >= 14
+
+    def test_reader_follows_the_field(self):
+        # the Stanley-Reisner ring of the projective plane has H~_1 over F_2
+        # only, which raises its regularity there
+        I = stanley_reisner_ideal(from_facets(6, [
+            (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+            (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)]))
+        regs = {char: regularity(I, char) for char in (0, 2)}
+        assert regs == {char: oracles.regularity_from_tables(I, char)
+                        for char in (0, 2)}
+        assert regs[0] != regs[2]
+
+
 class TestDegreePatternType:
     def test_invariant_zero_on_g(self):
         with pytest.raises(ValueError):
@@ -832,7 +888,9 @@ class TestColumnarTable:
         topdeg(J, 1, 0)
         regularity(J, 0)
         asy._row_for_power(cycle_ideal(5), 3, 1, True, 0, tk.DEFAULT_PATTERN_CAP)
-        assert len(built) == 2 + 2 * (krull_dimension(J) + 1) + 1
+        # regularity reads the scan stage and builds no table: indeg, topdeg
+        # and the row's one table
+        assert len(built) == 2 + 1
         assert sum(t.dims.size for t in built) > 0
         for t in built:
             t.to_json()
