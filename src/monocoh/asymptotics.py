@@ -133,14 +133,15 @@ def _power_ideal(
 
 
 def _check_powers(
-    I: MonomialIdeal, n_max: int, pattern_cap: int, i=None
+    I: MonomialIdeal, n_max: int, pattern_cap: int, i=None, n_min: int = 1
 ) -> None:
     """Raise, before any power is computed, what ``power`` raises at the
-    smallest n in 2..n_max it refuses (``power(I, 1)`` checks nothing), a
-    cap trip naming n and, when given, i, as ``_power_ideal``'s do. Once
-    ``_check_power`` fails it fails for every larger n, so that n is found
-    by bisection."""
-    if n_max < 2 or I.is_zero or I.is_unit:
+    smallest n in max(n_min, 2)..n_max it refuses (``power(I, 1)`` checks
+    nothing), a cap trip naming n and, when given, i, as ``_power_ideal``'s
+    do. Once ``_check_power`` fails it fails for every larger n, so that n
+    is found by bisection."""
+    first = max(n_min, 2)
+    if n_max < first or I.is_zero or I.is_unit:
         return
     rho = var_degree_bounds(I).rho
 
@@ -153,7 +154,7 @@ def _check_powers(
 
     if not refused(n_max):
         return
-    lo, hi = 1, n_max
+    lo, hi = first - 1, n_max
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if refused(mid):

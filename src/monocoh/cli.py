@@ -101,9 +101,10 @@ def _sequence_inputs(args: argparse.Namespace) -> tuple[mc.MonomialIdeal, int]:
 def _check_buffered_powers(
     args: argparse.Namespace, I: mc.MonomialIdeal, hi: int, i=None
 ) -> None:
-    """Text and JSON print a sequence only once it is whole, so the powers
-    1..hi that ``power`` would refuse are refused before the first one is
-    computed. CSV streams its rows and trips where it trips."""
+    """Refuse the powers 1..hi that ``power`` would refuse before the first
+    one is computed: ``indeg``, ``dichotomy`` and ``reg`` do so in text and
+    JSON (``cohomology`` in JSON only, over its own range). CSV streams its
+    rows and trips where it trips."""
     if args.fmt != "csv":
         asy._check_powers(I, hi, args.pattern_cap, i)
 
@@ -226,8 +227,11 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
     require = tk._require_module if args.at is None else tk._require_not_unit
     I, lo, hi = _checked_inputs(args, require=require)
     i_list = _requested_is(args, args.d)
-    if args.at is not None:
-        a = _parse_degree_vector(args.at, args.d)
+    a = None if args.at is None else _parse_degree_vector(args.at, args.d)
+    if args.fmt == "json":
+        # printed only once the range is whole, so refused powers go first
+        asy._check_powers(I, hi, args.pattern_cap, args.i, lo)
+    if a is not None:
         row = (f"%d,%d,{args.char},{';'.join(map(str, a))},%d" if args.fmt == "csv"
                else f"n=%d i=%d a=({','.join(map(str, a))}) dim=%d")
         results = []

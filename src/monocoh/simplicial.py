@@ -4,31 +4,35 @@ A complex is held as its face indicator over all 2^d bitmasks, vertex j
 occupying bit j-1: the same {0,1}^d box as a corner of a membership box.
 Its facets (inclusion-maximal faces) are read off that box. Three kinds
 are distinguished: the void complex (no faces at all), the irrelevant
-complex (only the empty face), and ordinary complexes. The empty face is the unique (-1)-cell of reduced chain
-complexes, so the irrelevant complex has H~_{-1} of dimension 1 and the
-void complex has no homology in any degree.
+complex (only the empty face), and ordinary complexes. The empty face is
+the unique (-1)-cell of reduced chain complexes, so the irrelevant complex
+has H~_{-1} of dimension 1 and the void complex has no homology in any
+degree.
 
 Homology dimensions are exact, and one routine, ``_word_homology``,
 computes them all. It reads a complex as a face word: an int whose set bits
 pick faces from a frame, a list of candidate faces ordered by size. A
-cohomology table builds one frame and asks about many words; every other
-caller builds the frame of its one complex. The rank of ∂_1 (edges to
-vertices) is V - c, vertices minus connected components, over Q and over
-every F_p: ∂_1 is the oriented incidence matrix of the graph, which is
-totally unimodular. So ``_word_homology`` answers a graph word itself,
-from the bit counts V and E and a walk over the edge bits, before any
-chain complex is set up; ``_chain_dims`` answers any other word asked only
-about degrees up to 0 the same way. On n vertices, the top degrees
-q >= max(1, n - 3) of a word that is not a graph come from combinatorial
-Alexander duality: 0 from q = n - 1 up, and at q = n - 2 and q = n - 3
-from looking up the subsets of n - 1 and n - 2 vertices in the frame.
-These degrees are the same over every field. Only the middle degrees
-1 <= q <= n - 4 build face lists and boundary matrices, from ∂_2 up; their
-ranks over the rationals and over F_p come from one sparse elimination on
-unit pivots in Python integers (``±1`` over Q, any nonzero residue over
-F_p); over Q, rows left with no ``±1`` entry go to fraction-free
-big-integer elimination. A cone point skips those degrees
-outright, and is looked for only when a matrix rank is still needed.
+cohomology table builds one frame and asks about many words; a whole
+complex is the full word of the frame of its own faces
+(``_flags_homology``). Each degree has one of three rules:
+
+- The formula dim H~_q = n_q - r_q - r_{q+1}, over the q-cells and the
+  ranks of the boundary maps, answers every degree up to 0 and every
+  degree of a graph. n_{-1} = 1, n_0 = V and n_1 = E are bit counts,
+  r_0 = [V > 0], and r_1 = V - c over c connected components over every
+  field: ∂_1 is the oriented incidence matrix of the graph, which is
+  totally unimodular.
+- On n vertices, a complex with a face of three or more vertices has its
+  degrees q >= max(1, n - 3) from combinatorial Alexander duality: 0 from
+  q = n - 1 up, and at q = n - 2 and q = n - 3 from looking up the subsets
+  of n - 1 and n - 2 vertices in the frame, the same over every field.
+- The middle degrees 1 <= q <= n - 4 take the formula with the ranks of
+  ∂_q from q = 2 up, read off boundary matrices by one sparse elimination
+  on unit pivots in Python integers (``±1`` over Q, any nonzero residue
+  over F_p); over Q, rows left with no ``±1`` entry go to fraction-free
+  big-integer elimination. A cone point skips these degrees outright, and
+  is looked for only when a matrix rank is still needed.
+
 Dimensions are all the cohomology formula consumes, so no Smith normal form
 is computed.
 
@@ -382,39 +386,43 @@ def _word_homology(
     complex whose faces are the empty face and ``frame.faces[k]`` for every
     set bit k of ``word``.
 
-    A graph word (no bit above the edge range), with V vertices, E edges
-    and r_1 = V - c the rank of ∂_1 over c components, is answered here:
-    H~_{-1} = [V = 0], H~_0 = V - r_1 - 1 when V > 0, H~_1 = E - r_1, and
-    every higher degree is 0. The union-find for r_1 runs only when q = 0
-    or q = 1 is asked about and the word has an edge.
-
-    Any other word, on n vertices, has its degrees q >= max(1, n - 3)
-    answered by Alexander duality (``_dual_dim``): 0 from q = n - 1 up,
-    and at q = n - 2 and q = n - 3 from the presence of the subsets of
-    n - 1 and n - 2 vertices, the same over every field. Its other degrees
-    come from the chain complex (``_chain_dims``), so only 1 <= q <= n - 4
-    builds face lists and boundary matrices.
+    On a word with V = n vertices, E edges and a cell above dimension 1,
+    the degrees q >= max(1, n - 3) come from Alexander duality
+    (``_dual_dim``). Every other degree, and every degree of a graph word,
+    is n_q - r_q - r_{q+1}: n_{-1} = 1, n_0 = V, n_1 = E, r_0 = [V > 0],
+    and r_1 = V - c over the c components, found by a union-find only when
+    q = 0 or q = 1 is asked about and the word has an edge. A graph word
+    has no cells or ranks above; for any other word ``_chain_dims`` gives
+    those of the middle degrees 1 <= q <= n - 4, or finds them all 0.
     """
-    vertices = word & ((1 << frame.nv) - 1)
+    nv = frame.nv
+    vertices = word & ((1 << nv) - 1)
+    edges = word >> nv & ((1 << (frame.graph_end - nv)) - 1)
     n = vertices.bit_count()
-    if not word >> frame.graph_end:
-        edges = word >> frame.nv
-        r1 = 0
-        if edges and (0 in qs or 1 in qs):
-            r1 = _forest_size(edges, frame.ends)
-        dims = {}
-        for q in qs:
-            val = (int(not n) if q == -1 else n - r1 - 1 if q == 0 and n
-                   else edges.bit_count() - r1 if q == 1 else 0)
-            if val:
-                dims[q] = val
-        return dims
-    low = max(1, n - 3)
-    chain = [q for q in qs if q < low]
-    dims = _chain_dims(word, frame, chain, char) if chain else {}
-    dual = [q for q in qs if low <= q <= n - 2]
+    cells = {-1: 1, 0: n, 1: edges.bit_count()}
+    ranks = {0: 1 if n else 0}
+    formula, dual = qs, ()
+    if word >> frame.graph_end:
+        low = max(1, n - 3)
+        formula = [q for q in qs if q < low]
+        dual = [q for q in qs if low <= q <= n - 2]
+        middle = [q for q in formula if q >= 1]
+        if middle:
+            chain = _chain_dims(word, frame, middle, char)
+            if chain is None:
+                formula = [q for q in formula if q < 1]
+            else:
+                cells.update(chain[0])
+                ranks.update(chain[1])
+    if edges and (0 in formula or 1 in formula):
+        ranks[1] = _forest_size(edges, frame.ends)
+    dims = {}
+    for q in formula:
+        val = cells.get(q, 0) - ranks.get(q, 0) - ranks.get(q + 1, 0)
+        if val:
+            dims[q] = val
     if dual:
-        verts = [frame.faces[k] for k in range(frame.nv) if vertices >> k & 1]
+        verts = [frame.faces[k] for k in range(nv) if vertices >> k & 1]
         for q in dual:
             val = _dual_dim(word, frame, verts, q)
             if val:
@@ -456,69 +464,56 @@ def _dual_dim(word: int, frame: _FaceFrame, verts: list[int], q: int) -> int:
 
 def _chain_dims(
     word: int, frame: _FaceFrame, qs: Sequence[int], char: int
-) -> dict[int, int]:
-    """Nonzero dims of H~_q, for q in the ascending nonempty ``qs``, of the
-    complex of ``word``, from its chain complex. Graph words never get
-    here: ``_word_homology`` answers them first, so ``word`` has a face of
-    three or more vertices.
+) -> tuple[dict[int, int], dict[int, int]] | None:
+    """``(cells, ranks)`` of the chain complex of ``word`` around the
+    ascending nonempty degrees ``qs``, each in 1..n - 4 on a word with a
+    face of three or more vertices: n_q for every q >= 2 of ``qs``, and the
+    rank of ∂_q for every q >= 2 with q or q - 1 in ``qs``, for the formula
+    of ``_word_homology``. The word expands into face lists, and each
+    boundary matrix is built once, so adjacent degrees share the rank
+    between them. None when the cone rule says every H~_q of ``qs`` is 0.
 
-    With n_q the number of q-cells (n_{-1} = 1, the empty face) and r_q the
-    rank of ∂_q from the q-cells to the (q-1)-cells, dim H~_q = n_q - r_q -
-    r_{q+1}; a rank whose source has no cells is 0. The augmentation has
-    rank r_0 = [V > 0]. ∂_1 gives edge {u < v} the column e_v - e_u: it is
-    the oriented incidence matrix of the graph, which is totally unimodular,
-    so its rank over Q and over every F_p is V - c, with c the number of
-    connected components. A word asked only about q <= 0 needs nothing
-    more: H~_{-1} = [V = 0] and H~_0 = c - [V > 0]. Otherwise the word
-    expands into face lists, and its boundary matrices are built from ∂_2
-    up, each once, so adjacent degrees share the rank between them.
-
-    Cone rule, tried only when some ∂_q with q >= 2 still needs a matrix:
-    with q_max the largest requested degree that has cells, if some vertex v
-    has F | v a face for every face F with |F| <= q_max + 1, then c(F) =
-    [v, F] satisfies ∂c + c∂ = id on the augmented chains through degree
-    q_max, so every requested H~_q vanishes and no boundary matrix is built.
-    Only faces up to that size are asked about, so the rule holds for a face
-    set truncated above |F| = q_max + 2 (a hollow triangle is coned through
+    Cone rule, tried only when some ∂_q still needs a matrix: with q_max
+    the largest requested degree that has cells, if some vertex v has F | v
+    a face for every face F with |F| <= q_max + 1, then c(F) = [v, F]
+    satisfies ∂c + c∂ = id on the augmented chains through degree q_max,
+    so every requested H~_q vanishes and no boundary matrix is built. Only
+    faces up to that size are asked about, so the rule holds for a face set
+    truncated above |F| = q_max + 2 (a hollow triangle is coned through
     degree 0 but not degree 1).
     """
-    nv, graph_end = frame.nv, frame.graph_end
-    vertices = word & ((1 << nv) - 1)
-    edges = (word >> nv) & ((1 << (graph_end - nv)) - 1)
-    cells = {-1: 1, 0: vertices.bit_count(), 1: edges.bit_count()}
-    ranks = {0: 1 if vertices else 0}
-    if edges and (0 in qs or 1 in qs):
-        ranks[1] = _forest_size(edges, frame.ends)
-    if qs[-1] >= 1:
-        by_dim: dict[int, list[int]] = {-1: [0]}
-        # walked 64 bits at a time, so a long word costs linear time
-        raw = word.to_bytes((word.bit_length() + 7) // 8, "little")
-        for base in range(0, len(raw), 8):
-            rest = int.from_bytes(raw[base : base + 8], "little")
-            while rest:
-                low = rest & -rest
-                f = frame.faces[8 * base + low.bit_length() - 1]
-                by_dim.setdefault(f.bit_count() - 1, []).append(f)
-                rest ^= low
-        for q, faces in by_dim.items():
-            if q >= 2:
-                cells[q] = len(faces)
-        matrices = sorted(
-            {r for q in qs for r in (q, q + 1) if r >= 2 and r in by_dim}
-        )
-        if matrices:
-            q_max = max(q for q in qs if q in by_dim)
-            present = {f for faces in by_dim.values() for f in faces}
-            if _has_cone_point(by_dim, present, q_max + 1):
-                return {}
-        for q in matrices:
-            ranks[q] = _matrix_rank(_boundary_matrix(by_dim[q - 1], by_dim[q]), char)
-    dims: dict[int, int] = {}
-    for q in qs:
-        val = cells.get(q, 0) - ranks.get(q, 0) - ranks.get(q + 1, 0)
-        if val:
-            dims[q] = val
-    return dims
+    by_dim: dict[int, list[int]] = {}
+    # walked 64 bits at a time, so a long word costs linear time
+    raw = word.to_bytes((word.bit_length() + 7) // 8, "little")
+    for base in range(0, len(raw), 8):
+        rest = int.from_bytes(raw[base : base + 8], "little")
+        while rest:
+            low = rest & -rest
+            f = frame.faces[8 * base + low.bit_length() - 1]
+            by_dim.setdefault(f.bit_count() - 1, []).append(f)
+            rest ^= low
+    cells = {q: len(by_dim[q]) for q in qs if q >= 2 and q in by_dim}
+    matrices = sorted({r for q in qs for r in (q, q + 1) if r >= 2 and r in by_dim})
+    if matrices:
+        q_max = max(q for q in qs if q in by_dim)
+        present = {f for faces in by_dim.values() for f in faces}
+        if _has_cone_point(by_dim, present, q_max + 1):
+            return None
+    ranks = {q: _matrix_rank(_boundary_matrix(by_dim[q - 1], by_dim[q]), char)
+             for q in matrices}
+    return cells, ranks
+
+
+def _flags_homology(
+    flags: np.ndarray, d: int, qs: Sequence[int], char: int, avoid: int = 0
+) -> dict[int, int]:
+    """Nonzero dims of H~_q, for q in the ascending nonempty ``qs``, of the
+    nonvoid complex of the faces of a face indicator over all 2^d masks
+    that have no vertex in the mask ``avoid``. H~_q reads only the faces of
+    at most q + 2 vertices, so one frame holds those up to max qs + 2
+    vertices, and the complex is its full word."""
+    frame = _FaceFrame(_frame_faces(flags, d, qs[-1] + 2, avoid))
+    return _word_homology((1 << len(frame.faces)) - 1, frame, qs, char)
 
 
 def homology_dims_from_masks(
@@ -527,44 +522,39 @@ def homology_dims_from_masks(
     """Reduced homology dimensions of the complex with the given face set,
     in the given degrees (all when None); only nonzero degrees appear.
 
-    The face set must be downward closed and include mask 0 (the empty face)
-    unless it is empty, in which case the complex is void and everything
-    vanishes. The faces become one frame and the complex its full word, for
-    ``_word_homology``. ValueError for a ``char`` that is neither 0 nor a
-    prime up to ``MAX_CHAR``.
+    An empty face set is the void complex, and everything vanishes. Any
+    other must be a complex: ValueError for a negative mask, a mask of more
+    than ``MAX_VARIABLES`` bits, or a set without the empty face or some
+    subset of one of its faces. ValueError too for a ``char`` that is
+    neither 0 nor a prime up to ``MAX_CHAR``.
     """
     char = _validate_char(char)
     faces = {int(m) for m in face_masks}
     if not faces:
         return {}
-    if 0 not in faces:
-        raise ValueError("a nonvoid face set must contain the empty face")
-    faces.discard(0)
-    frame = _FaceFrame(sorted(faces, key=lambda m: (m.bit_count(), m)))
+    K = SimplicialComplex(max(1, max(faces).bit_length()), faces)
+    if np.count_nonzero(K._flags) != len(faces):
+        raise ValueError(
+            "a face set must hold the empty face and every subset of its faces")
     if degrees is None:
-        qs = list(range(-1, frame.faces[-1].bit_count() if frame.faces else 0))
+        qs = list(range(-1, K.dim + 1))
     else:
         qs = sorted({int(q) for q in degrees})
-    if not qs:
-        return {}
-    return _word_homology((1 << len(frame.faces)) - 1, frame, qs, char)
+    return _flags_homology(K._flags, K.d, qs, char) if qs else {}
 
 
 def homology_dim_single(face_masks: Iterable[int], q: int, char: int) -> int:
-    """dim H~_q of the complex with the given downward-closed face set:
-    ``homology_dims_from_masks`` in the one degree q, with the same check
-    of ``char``."""
+    """dim H~_q of the complex with the given face set:
+    ``homology_dims_from_masks`` in the one degree q, with the same
+    checks."""
     return homology_dims_from_masks(face_masks, char, (q,)).get(q, 0)
 
 
 def reduced_homology_dims(K: SimplicialComplex, char: int) -> HomologyProfile:
-    """Reduced homology dimensions of K over Q (char 0) or F_p (char p): one
-    frame over K's nonempty faces, and K is its full word."""
+    """Reduced homology dimensions of K over Q (char 0) or F_p (char p) in
+    every degree from -1 to dim K."""
     char = _validate_char(char)
     if K.is_void:
         return HomologyProfile(char=char, dims={})
-    frame = _FaceFrame(_frame_faces(K._flags, K.d, K.d, 0))
     qs = list(range(-1, K.dim + 1))
-    return HomologyProfile(
-        char=char, dims=_word_homology((1 << len(frame.faces)) - 1, frame, qs, char)
-    )
+    return HomologyProfile(char=char, dims=_flags_homology(K._flags, K.d, qs, char))

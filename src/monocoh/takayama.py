@@ -52,6 +52,7 @@ from .monomial_core import (
 from .simplicial import (
     SimplicialComplex,
     _FaceFrame,
+    _flags_homology,
     _frame_faces,
     _validate_char,
     _validate_d,
@@ -356,8 +357,8 @@ def cohomology_dim_at(
     homology degree drops below -1 or Δ_a(I) is void (no empty face).
 
     A cone point of the corner flags gives 0 before any face is listed.
-    Otherwise H~_q reads the faces of Δ_a(I) with at most q + 2 vertices:
-    one frame over them, and the complex is its full word.
+    Otherwise ``_flags_homology`` reads H~_q off the faces of Δ_a(I) with
+    at most q + 2 vertices.
     """
     _require_not_unit(I)
     d = _validate_d(I.d)
@@ -367,8 +368,7 @@ def cohomology_dim_at(
     q = i - g.bit_count() - 1
     if q < -1 or not flags[0] or _cone_axis(flags, d, g):
         return 0
-    frame = _FaceFrame(_frame_faces(flags, d, q + 2, g))
-    return _word_homology((1 << len(frame.faces)) - 1, frame, [q], char).get(q, 0)
+    return _flags_homology(flags, d, [q], char, g).get(q, 0)
 
 
 def _pattern_counts(rho: Sequence[int], d: int) -> list[int]:

@@ -251,6 +251,36 @@ class TestPowerRangeCheck:
             kinds.add(got and got[0])
         assert kinds == {None, ValueError, ResourceCapError}
 
+    def test_a_range_from_above_two_against_a_linear_scan(self):
+        # n_min..n_max reports the first refused n of that range, even when
+        # a smaller n below it is refused too
+        rng = random.Random(20261022)
+        kinds, refused_below = set(), 0
+        for _ in range(400):
+            d = rng.randint(1, 3)
+            exps = [rng.choice([0, 1, 2, 3, 2**40, 2**61]) for _ in range(d)]
+            if not any(exps):
+                exps[0] = 1
+            I = parse_ideal("*".join(f"x{j + 1}^{e}" for j, e in
+                                     enumerate(exps) if e), d)
+            n_min = rng.randint(2, 30)
+            n_max = rng.randint(n_min - 1, 40)
+            cap = rng.choice([1, 10, 400, 10**7])
+            i = rng.choice([None, 1])
+            try:
+                _check_powers(I, n_max, cap, i, n_min)
+                got = None
+            except (ValueError, ResourceCapError) as exc:
+                got = type(exc), str(exc)
+            want = next(filter(None, (self.refusal(exps, n, cap, i)
+                                      for n in range(n_min, n_max + 1))), None)
+            assert got == want, (exps, n_min, n_max, cap)
+            kinds.add(got and got[0])
+            if got and n_min > 2 and self.refusal(exps, n_min - 1, cap, i):
+                refused_below += 1
+        assert kinds == {None, ValueError, ResourceCapError}
+        assert refused_below >= 20, refused_below
+
     def test_power_one_and_trivial_ideals_are_never_refused(self):
         _check_powers(parse_ideal("x1^9", 1), 1, 1)
         _check_powers(parse_ideal("0", 2), 2**62, 1)

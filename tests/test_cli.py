@@ -166,13 +166,13 @@ class TestCohomology:
         # x4..x20 are cone points of the corner flags, which answer 0 first
         ideal, at = "x1*x2, x2*x3", f"({','.join('0' * 20)})"
         listed = []
-        frame_faces = tk._frame_faces
+        flags_homology = tk._flags_homology
 
         def recording(*args):
             listed.append(args[1:])
-            return frame_faces(*args)
+            return flags_homology(*args)
 
-        monkeypatch.setattr(tk, "_frame_faces", recording)
+        monkeypatch.setattr(tk, "_flags_homology", recording)
         with within_alarm(5, "no answer within 5 s at d = 20, i = 16"):
             dim = tk.cohomology_dim_at(parse_ideal(ideal, 20), 16, (0,) * 20)
             code, out = run_cli(capsys, "cohomology", "--ideal", ideal, "--d",
@@ -499,6 +499,23 @@ class TestExitCodes:
         assert code == 3 and captured.out == "" and built == []
         assert captured.err == (f"error: power {where}: power box of 1024 "
                                 "cells exceeds the cap 400\n")
+
+    @pytest.mark.parametrize("extra", [
+        ["--powers", "1..4000000000"],
+        ["--powers", "1..4000000000", "--at", "(0,0,0,0)"],
+        ["--powers", "3..4000000000"],
+    ], ids=["table", "at", "from-3"])
+    def test_cohomology_json_refuses_a_power_before_the_first(
+            self, capsys, extra):
+        # JSON prints only once the whole range is done; x1^2 has a power
+        # box of 2n + 1 cells, over the default cap from n = 5,000,000
+        with within_alarm(5, "cohomology JSON ran the powers before the check"):
+            code = cli.main(["cohomology", "--ideal", "x1^2", "--d", "4",
+                             "--i", "0", "--format", "json", *extra])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == ("error: power n=5000000, i=0: power box of "
+                                "10000001 cells exceeds the cap 10000000\n")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_text_and_json_refuse_an_exponent_overflow_first(self, capsys, fmt):

@@ -410,6 +410,18 @@ class TestHomologyAgainstOracle:
         with pytest.raises(ValueError, match="empty face"):
             homology_dims_from_masks({1, 2}, 0, (0,))
 
+    @pytest.mark.parametrize("faces", [
+        {0, 3},                         # an edge without its vertices
+        {0, 1, 2, 4, 7},                # a triangle without its edges
+        {0, -1},                        # a negative mask
+        {0, 1 << monomial_core.MAX_VARIABLES},  # a vertex past the last
+    ])
+    def test_face_sets_must_be_complexes(self, faces):
+        with pytest.raises(ValueError):
+            homology_dims_from_masks(faces, 0)
+        with pytest.raises(ValueError):
+            homology_dim_single(faces, 0, 0)
+
     def test_euler_characteristic(self):
         rng = np.random.default_rng(16)
         for _ in range(30):
@@ -579,7 +591,8 @@ class TestGraphWords:
         real = simplicial._chain_dims
 
         def counting(word, frame, qs, char):
-            calls.append(word >> frame.graph_end)
+            n = (word & ((1 << frame.nv) - 1)).bit_count()
+            calls.append((word >> frame.graph_end, n, list(qs)))
             return real(word, frame, qs, char)
 
         monkeypatch.setattr(simplicial, "_chain_dims", counting)
@@ -629,16 +642,20 @@ class TestGraphWords:
 
     def test_tables_send_only_wider_words_to_the_chain_complex(
             self, chain_calls, small_corpus):
-        # C_d tables read graph words only; a corpus of mixed ideals also
-        # has words with a face of three vertices, the only ones that reach
-        # _chain_dims
+        # C_d tables read graph words only. Of the words with a face of three
+        # vertices, on n vertices, the formula answers q <= 0 and duality
+        # q >= max(1, n - 3), so only the middle degrees reach _chain_dims;
+        # the table of RP²'s ideal at i = 2 asks for H~_1 on its 6 vertices
         for d, n in ((5, 3), (6, 2), (7, 4)):
             J = saturate_irrelevant(power(cycle_ideal(d), n))
             takayama.cohomology_tables(J, range(4))
         assert chain_calls == []
-        for I in small_corpus[:30]:
+        rp2 = stanley_reisner_ideal(from_facets(6, RP2_FACETS))
+        for I in [rp2, *small_corpus[:30]]:
             takayama.cohomology_tables(I, range(I.d + 1))
-        assert chain_calls and all(chain_calls)
+        assert chain_calls
+        for wide, n, qs in chain_calls:
+            assert wide and qs and all(1 <= q <= n - 4 for q in qs), (n, qs)
 
 
 def complexes_on_four_vertices():
