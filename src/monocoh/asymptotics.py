@@ -219,11 +219,15 @@ def power_sequence(
     char: int = 0,
     pattern_cap: int = DEFAULT_PATTERN_CAP,
 ) -> PowerSequenceReport:
-    """Invariants of H^i_m(R/I^n) for n = 1..n_max, one row per power."""
+    """Invariants of H^i_m(R/I^n) for n = 1..n_max, one row per power.
+
+    Before any power is computed, raises what ``power`` raises at the
+    smallest n of the range it refuses (``_check_powers``)."""
     _require_module(I)
     _validate_i(I.d, i)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    _check_powers(I, n_max, pattern_cap, i)
     rows = tuple(
         _row_for_power(I, n, i, saturated, char, pattern_cap)
         for n in range(1, n_max + 1)
@@ -319,10 +323,13 @@ def regularity_linear_fit(
     reg(R/I^n) = slope*n + intercept for all n >= stable_from in the
     computed range; returns None when no such run exists. The fit is a
     finite-sample observation, not a certificate of the limit behaviour.
+    A range holding a power that ``power`` refuses is refused before the
+    first power is computed (``_check_powers``).
     """
     _require_module(I)
     if n_max < 4:
         raise ValueError("n_max must be at least 4 to detect a run")
+    _check_powers(I, n_max, pattern_cap)
     regs = [
         _power_regularity(I, n, char, pattern_cap) for n in range(1, n_max + 1)
     ]

@@ -257,12 +257,9 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
         try:
             if J.is_unit:
                 tables = {i: _zero_table(i, args.char) for i in i_list}
-            elif args.i == "all":
+            else:
                 tables = tk.cohomology_tables(
                     J, i_list, args.char, pattern_cap=args.pattern_cap)
-            else:
-                tables = {i: tk.cohomology_table(
-                    J, i, args.char, pattern_cap=args.pattern_cap) for i in i_list}
         except ResourceCapError as exc:
             raise exc.for_power(n) from exc
         if args.fmt == "csv" and n == lo:

@@ -34,7 +34,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -246,10 +246,18 @@ class CohomologyTable:
     def from_dict(cls, data: dict) -> "CohomologyTable":
         """The table of a ``to_dict`` payload, its rows in the listed order.
 
-        Raises ValueError unless every row has a⁺ of one width d <= 63,
+        Raises ValueError unless i is an integer >= 0, char is an integer
+        that is 0 or a prime within the supported bound, every row has a⁺ of one width d <= 63,
         G inside 1..d, a⁺ >= 0 and zero on G, and dim >= 1, and no
         (G, a⁺) is listed twice.
         """
+        i, char = data["i"], data["char"]
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (i, char)):
+            raise ValueError(f"a table's i and char must be integers, got "
+                             f"{i!r} and {char!r}")
+        if i < 0:
+            raise ValueError(f"a table's i must be at least 0, got {i}")
+        char = _validate_char(char)
         entries = data["entries"]
         widths = {len(e["a_plus"]) for e in entries}
         d = widths.pop() if widths else 0
@@ -277,8 +285,8 @@ class CohomologyTable:
         if np.unique(rows, axis=0, return_index=True)[1].size < len(entries):
             raise ValueError("a degree pattern is listed twice")
         return cls(
-            i=int(data["i"]),
-            char=int(data["char"]),
+            i=i,
+            char=char,
             a_plus=a_plus,
             g_masks=g_masks,
             dims=dims,
@@ -432,29 +440,24 @@ def _row_word(row: Sequence[int]) -> int:
     return sum(w << (64 * k) for k, w in enumerate(row))
 
 
-class _ScanStage(NamedTuple):
-    """What one scan of the membership box leaves for its readers: the
-    sorted requested degrees ``i_list`` and the validated ``char``; ``rho``,
-    the box being of shape rho + 1; ``outside``, the flat indices of the
-    cells outside the ideal, and ``inverse``, the distinct complex of each;
-    and ``dims_u``, dim H^i of every distinct complex for every i of
-    ``i_list`` (one row per i), or None when every one of them is 0."""
-
-    i_list: list[int]
-    char: int
-    rho: tuple[int, ...]
-    outside: np.ndarray | None
-    inverse: np.ndarray | None
-    dims_u: np.ndarray | None
-
-
-def _scan_stage(
+def _scan_rows(
     I: MonomialIdeal, i_values: Iterable[int], char: int, pattern_cap: int
-) -> _ScanStage:
-    """The shared stage of ``cohomology_tables`` and ``regularity``: one
-    scan of the membership box, one dedup of its keys, and the homology of
-    every distinct complex at every requested i (see ``cohomology_tables``).
-    An empty request scans nothing.
+) -> tuple[list[int], int, tuple[int, ...], np.ndarray, np.ndarray,
+           np.ndarray, np.ndarray]:
+    """The one stage behind ``cohomology_tables`` and ``regularity``: one
+    scan of the membership box, one dedup of its keys, the homology of
+    every distinct complex at every requested i, and one decode of the
+    cells whose complex is nonzero at some requested i (see
+    ``cohomology_tables``).
+
+    Returns ``(i_list, char, rho, coords, on_g, dims_u, row_of)``: the
+    sorted requested degrees and the validated char; rho, the box being of
+    shape rho + 1; ``coords``, of shape ``(d, rows)``, the decoded cells in
+    the narrowest unsigned type holding max rho, zero on G; ``on_g``, of the
+    same shape, true on G; ``dims_u``, dim H^i of every distinct complex,
+    one row per i of ``i_list``; and ``row_of``, the distinct complex of
+    each decoded cell. The cells stay in flat-index order. An empty request
+    scans nothing and, like a box with no nonzero complex, decodes no cell.
 
     Raises ResourceCapError, naming the first i over ``pattern_cap``, before
     anything is scanned.
@@ -464,8 +467,12 @@ def _scan_stage(
     i_list = sorted({_validate_i(d, i) for i in i_values})
     char = _validate_char(char)
     rho = var_degree_bounds(I).rho
+    # a⁺_j < rho_j: the narrowest unsigned type holding max rho suffices
+    a_type = np.min_scalar_type(max(rho))
     if not i_list:
-        return _ScanStage(i_list, char, rho, None, None, None)
+        none = np.zeros((d, 0), dtype=a_type)
+        return (i_list, char, rho, none, none.astype(bool),
+                np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.intp))
     counts = _pattern_counts(rho, d)
     for i in i_list:
         if counts[i] > pattern_cap:
@@ -502,12 +509,15 @@ def _scan_stage(
         for q, dim in _word_homology(key & face_bits, frame, qs_of[g_size],
                                      char).items():
             nonzero.append((k_of_i[q + g_size + 1], u, dim))
-    dims_u = None
-    if nonzero:
-        dims_u = np.zeros((len(i_list), rows.shape[0]), dtype=np.int64)
-        ks, us, vals = zip(*nonzero)
-        dims_u[ks, us] = vals
-    return _ScanStage(i_list, char, rho, outside, inverse, dims_u)
+    dims_u = np.zeros((len(i_list), rows.shape[0]), dtype=np.int64)
+    ks, us, vals = np.array(nonzero, dtype=np.int64).reshape(-1, 3).T
+    dims_u[ks, us] = vals
+    hits = np.flatnonzero(dims_u.any(axis=0)[inverse])
+    coords = np.array(np.unravel_index(outside[hits], [r + 1 for r in rho]),
+                      dtype=a_type)
+    on_g = coords == np.array(rho)[:, None]
+    coords[on_g] = 0
+    return i_list, char, rho, coords, on_g, dims_u, inverse[hits]
 
 
 def cohomology_tables(
@@ -539,36 +549,18 @@ def cohomology_tables(
     under i = q + |G| + 1. The candidate faces are ordered by size, so the
     vertices and edges are two bit ranges of the key, and one
     ``_FaceFrame`` over them lets ``_word_homology`` read every distinct
-    face word: a graph needs no face list. That much is ``_scan_stage``,
-    which ``regularity`` reads too. When no distinct complex has a
-    nonzero dimension, the tables come back empty with nothing decoded.
-    Otherwise only the cells with a nonzero dimension are decoded, from
-    their flat index, into (G, a⁺) rows, left in flat-index order: every
-    reader orders them through ``_ordered_rows``.
+    face word: a graph needs no face list. Only the cells whose complex is
+    nonzero at some requested i are decoded, once, from their flat index:
+    that is ``_scan_rows``, which ``regularity`` reads too. Table i keeps
+    the decoded cells nonzero at i as (G, a⁺) rows, left in flat-index
+    order: every reader orders them through ``_ordered_rows``.
 
     Raises ResourceCapError, naming the first i over ``pattern_cap``, before
     anything is scanned.
     """
-    i_list, char, rho, outside, inverse, dims_u = _scan_stage(
+    i_list, char, rho, coords, on_g, dims_u, row_of = _scan_rows(
         I, i_values, char, pattern_cap)
-    d = len(rho)
-    # a⁺_j < rho_j: the narrowest unsigned type holding max rho suffices
-    a_type = np.min_scalar_type(max(rho))
-    if dims_u is None:
-        none = np.zeros(0, dtype=np.int64)
-        a_plus = np.zeros((0, d), dtype=a_type)
-        return {
-            i: CohomologyTable(i=i, char=char, a_plus=a_plus, g_masks=none,
-                               dims=none, rho=rho)
-            for i in i_list
-        }
-    hits = np.flatnonzero(dims_u.any(axis=0)[inverse])
-    cells, row_of = outside[hits], inverse[hits]
-    coords = np.array(np.unravel_index(cells, [r + 1 for r in rho]),
-                      dtype=a_type)
-    on_g = coords == np.array(rho)[:, None]
-    g_masks = (1 << np.arange(d, dtype=np.int64)) @ on_g
-    coords[on_g] = 0
+    g_masks = (1 << np.arange(len(rho), dtype=np.int64)) @ on_g
     a_plus = coords.T
     tables = {}
     for k, i in enumerate(i_list):
@@ -644,30 +636,23 @@ def regularity(
 
     Grothendieck vanishing empties every table beyond dim R/I, so the scan
     stops there; non-vanishing at dim R/I itself guarantees a finite answer.
-    The answer is read off ``_scan_stage`` with no table built: a pattern's
-    degrees reach at most |a⁺| - |G| (coordinates -1 on G), so each cell
-    whose complex is nonzero at some i offers |a⁺| - |G| plus the largest
-    such i, and the regularity is the largest offer.
+    The answer is read off the cells ``_scan_rows`` decodes for the tables,
+    with no table built: a pattern's degrees reach at most |a⁺| - |G|
+    (coordinates -1 on G), so each decoded cell offers |a⁺| - |G| plus the
+    largest i at which its complex is nonzero, and the regularity is the
+    largest offer.
     """
     _require_module(I)
-    i_list, _, rho, outside, inverse, dims_u = _scan_stage(
+    *_, coords, on_g, dims_u, row_of = _scan_rows(
         I, range(krull_dimension(I) + 1), char, pattern_cap)
-    if dims_u is None:
+    if not row_of.size:
         raise InternalConsistencyError(
             "no nonzero cohomology found for i <= dim R/I; nonvanishing at "
             "dim R/I should be guaranteed"
         )
-    # every offer lies in [-d, d * max rho + d]: one narrow signed type holds
-    # the coordinates, -1 on G, and their sums
-    d = len(rho)
-    w_type = np.min_scalar_type(-(d * max(rho) + d + 1))
-    # i_list is 0..dim R/I: the largest nonzero i of every distinct complex,
-    # -1 where there is none
-    levels = np.arange(len(i_list), dtype=w_type)[:, None]
+    # the i's are 0..dim R/I: the largest nonzero i of every distinct
+    # complex, -1 where there is none
+    levels = np.arange(len(dims_u))[:, None]
     top_i = np.where(dims_u != 0, levels, -1).max(axis=0)
-    cell_top = top_i[inverse]
-    hits = np.flatnonzero(cell_top >= 0)
-    coords = np.array(np.unravel_index(outside[hits], [r + 1 for r in rho]),
-                      dtype=w_type)
-    coords[coords == np.array(rho)[:, None]] = -1
-    return int((coords.sum(axis=0, dtype=w_type) + cell_top[hits]).max())
+    offers = coords.sum(axis=0, dtype=np.int64) - on_g.sum(axis=0)
+    return int((offers + top_i[row_of]).max())

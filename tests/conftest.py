@@ -1,8 +1,11 @@
-"""Shared fixtures: seeded random ideal corpora, the cycle family, and the
-tables the table-text tests write."""
+"""Shared fixtures: seeded random ideal corpora, the cycle family, the
+tables the table-text tests write, and an alarm for tests that must end in
+time."""
 
 from __future__ import annotations
 
+import contextlib
+import signal
 import sys
 from pathlib import Path
 
@@ -13,6 +16,28 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from monocoh.monomial_core import MonomialIdeal, krull_dimension, parse_ideal
 from monocoh.takayama import CohomologyTable, cohomology_tables
+
+
+class _Hang(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def within_alarm(seconds: int, message: str):
+    """Fail the test with ``message`` when the block runs past ``seconds``."""
+
+    def hang(signum, frame):
+        raise _Hang
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    except _Hang:
+        pytest.fail(message)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def cycle_ideal(d: int) -> MonomialIdeal:

@@ -205,15 +205,15 @@ class TestCriterion5:
         import monocoh.cli as cli
         from monocoh.errors import InternalConsistencyError
 
-        real = cli.tk.cohomology_table
+        real = cli.tk.cohomology_tables
         try:
             def boom(*a, **k):
                 raise InternalConsistencyError("forced")
-            cli.tk.cohomology_table = boom
+            cli.tk.cohomology_tables = boom
             code = cli.main(["cohomology", "--ideal", "x1*x2", "--d", "2",
                              "--i", "1"])
         finally:
-            cli.tk.cohomology_table = real
+            cli.tk.cohomology_tables = real
         capsys.readouterr()
         verdict(
             5,

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import monocoh.cli as cli
 from monocoh.errors import ResourceCapError
 from monocoh.monomial_core import (
     _check_power,
@@ -25,7 +26,7 @@ from monocoh.asymptotics import (
     regularity_linear_fit,
 )
 
-from conftest import cycle_ideal
+from conftest import cycle_ideal, within_alarm
 
 
 class TestPowerSequence:
@@ -162,8 +163,10 @@ class TestRegularityFit:
             regularity_linear_fit(parse_ideal("x1*x2", 2), 3)
 
     def test_cap_names_power(self):
-        # C_5^3 needs 2304 patterns at i=1, the first power over the cap
-        with pytest.raises(ResourceCapError, match="power n=3: "):
+        # the range is refused first: C_5^4's power box of 5^5 = 3125 cells
+        # is the first over the cap, before C_5^3's 2304 patterns at i=1
+        with pytest.raises(ResourceCapError, match="power n=4: power box of "
+                           "3125 cells exceeds the cap 2000"):
             regularity_linear_fit(cycle_ideal(5), 4, pattern_cap=2000)
 
     def test_stable_from_skips_initial_irregularity(self):
@@ -285,3 +288,24 @@ class TestPowerRangeCheck:
         _check_powers(parse_ideal("x1^9", 1), 1, 1)
         _check_powers(parse_ideal("0", 2), 2**62, 1)
         _check_powers(parse_ideal("1", 2), 2**62, 1)
+
+    @pytest.mark.parametrize("ideal, sequence, argv", [
+        ("x1^2", lambda I, n: power_sequence(I, 0, n, saturated=True),
+         ["indeg", "--i", "0", "--saturated"]),
+        ("x1^2*x2", lambda I, n: dichotomy_report(I, 1, n),
+         ["dichotomy", "--i", "1"]),
+        ("x1^2", regularity_linear_fit, ["reg"]),
+    ], ids=["power_sequence", "dichotomy_report", "regularity_linear_fit"])
+    def test_library_sequences_refuse_the_range_first(
+            self, capsys, ideal, sequence, argv):
+        # four billion powers: the command line refuses the range at once,
+        # and the library refuses it with the same message
+        argv = argv + ["--ideal", ideal, "--d", "4", "--powers",
+                       "1..4000000000", "--format", "text"]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: power n=")
+        with within_alarm(5, f"{argv[0]} ran the powers before the check"):
+            with pytest.raises(ResourceCapError) as exc:
+                sequence(parse_ideal(ideal, 4), 4_000_000_000)
+        assert f"error: {exc.value}\n" == err

@@ -1,12 +1,10 @@
 """Command surface: formats, golden outputs, exit statuses, determinism."""
 
-import contextlib
 import gc
 import json
 import os
 import random
 import re
-import signal
 import subprocess
 import sys
 import warnings
@@ -23,28 +21,10 @@ from monocoh.monomial_core import parse_ideal
 from monocoh.takayama import CohomologyTable
 
 import oracles
-from conftest import PATH_D11, cycle_ideal, rows_permuted, text_lines
+from conftest import PATH_D11, cycle_ideal, rows_permuted, text_lines, within_alarm
 
 GOLDEN = Path(__file__).parent / "golden"
 CYCLE5 = "x1*x3, x1*x4, x2*x4, x2*x5, x3*x5"
-
-
-@contextlib.contextmanager
-def within_alarm(seconds: int, message: str):
-    """Fail the test with ``message`` when the block runs past ``seconds``."""
-
-    def hang(signum, frame):
-        raise _Hang
-
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(seconds)
-    try:
-        yield
-    except _Hang:
-        pytest.fail(message)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -584,7 +564,7 @@ class TestExitCodes:
     def test_internal_consistency_is_4(self, capsys, monkeypatch):
         def boom(*a, **k):
             raise InternalConsistencyError("forced for the exit-path test")
-        monkeypatch.setattr(cli.tk, "cohomology_table", boom)
+        monkeypatch.setattr(cli.tk, "cohomology_tables", boom)
         code, _ = run_cli(capsys, "cohomology", "--ideal", "x1*x2",
                           "--d", "2", "--i", "1")
         assert code == 4
@@ -693,10 +673,6 @@ def random_argv(rng: random.Random) -> list[str]:
     return argv
 
 
-class _Hang(Exception):
-    pass
-
-
 class TestSeededFuzz:
     """Every accepted input gets an answer or a documented exit status."""
 
@@ -730,17 +706,10 @@ class TestSeededFuzz:
     def test_exit_codes_and_streams(self, capsys):
         rng = random.Random(20261019)
 
-        def hang(signum, frame):
-            raise _Hang
-
         def run(argv: list[str]) -> tuple[int, str]:
-            signal.alarm(self.ALARM_S)
-            try:
+            with within_alarm(self.ALARM_S,
+                              f"no exit within {self.ALARM_S} s: {argv}"):
                 code = cli.main(argv)
-            except _Hang:
-                pytest.fail(f"no exit within {self.ALARM_S} s: {argv}")
-            finally:
-                signal.alarm(0)
             out, err = capsys.readouterr()
             assert code in (0, 2, 3, 4), (argv, code, err)
             if code == 2:
@@ -752,16 +721,12 @@ class TestSeededFuzz:
                 assert "exceeds the cap" in last, (argv, err)
             return code, out
 
-        previous = signal.signal(signal.SIGALRM, hang)
         codes = []
-        try:
-            for argv, code, lines in self.fixed_cases():
-                got, out = run(argv)
-                assert (got, len(out.splitlines())) == (code, lines), argv
-            for _ in range(self.CALLS):
-                codes.append(run(random_argv(rng))[0])
-        finally:
-            signal.signal(signal.SIGALRM, previous)
+        for argv, code, lines in self.fixed_cases():
+            got, out = run(argv)
+            assert (got, len(out.splitlines())) == (code, lines), argv
+        for _ in range(self.CALLS):
+            codes.append(run(random_argv(rng))[0])
         # the grammar reaches success, usage errors and the cap
         assert {0, 2, 3} <= set(codes), sorted(set(codes))
         assert codes.count(0) >= 100, codes.count(0)

@@ -676,8 +676,8 @@ class TestExtendedDegreeInvariants:
 
 
 class TestRegularityOracle:
-    """``regularity`` reads its answer off the scan stage; the oracle reads
-    it off every table, as max_i (topdeg + i)."""
+    """``regularity`` reads its answer off the cells the tables decode; the
+    oracle reads it off every table, as max_i (topdeg + i)."""
 
     @staticmethod
     def artinian_ideals() -> list[MonomialIdeal]:
@@ -828,6 +828,14 @@ class TestColumnarTable:
             back = CohomologyTable.from_json(t.to_json())
             assert back == t and back.entries == t.entries
 
+    @pytest.mark.parametrize("i, char", [
+        (-5, 0), (1, 4), (1.7, 0), (True, 0), (1, 2.5),
+    ], ids=["negative-i", "composite-char", "float-i", "bool-i", "float-char"])
+    def test_from_dict_rejects_a_bad_degree_or_field(self, i, char):
+        data = {"i": i, "char": char, "finite_length": True, "entries": []}
+        with pytest.raises(ValueError, match="must be|composite"):
+            CohomologyTable.from_dict(data)
+
     def test_from_dict_rejects_a_repeated_pattern(self):
         row = {"G": [1], "a_plus": [0, 0], "dim": 1}
         data = {"i": 1, "char": 0, "finite_length": False, "entries": [row, row]}
@@ -888,8 +896,8 @@ class TestColumnarTable:
         topdeg(J, 1, 0)
         regularity(J, 0)
         asy._row_for_power(cycle_ideal(5), 3, 1, True, 0, tk.DEFAULT_PATTERN_CAP)
-        # regularity reads the scan stage and builds no table: indeg, topdeg
-        # and the row's one table
+        # regularity reads the decoded cells and builds no table: indeg,
+        # topdeg and the row's one table
         assert len(built) == 2 + 1
         assert sum(t.dims.size for t in built) > 0
         for t in built:
@@ -938,16 +946,23 @@ class TestTableWriter:
 
 class TestScanMemory:
     def test_peak_is_at_most_8_bytes_per_box_cell(self):
-        # every per-cell array of the scan and the dedup keeps a narrow type:
-        # sat(C_7^6) at i = 1 spans 7^7 = 823,543 box cells
+        # every per-cell array of the scan, the dedup and the decode keeps a
+        # narrow type: sat(C_7^6) spans 7^7 = 823,543 box cells, read by a
+        # table at i = 1, by the regularity and by the tables of every i
         J = saturate_irrelevant(power(cycle_ideal(7), 6))
         cells = membership_box(J).size
         assert cells == 7**7
-        cohomology_table(saturate_irrelevant(power(cycle_ideal(5), 2)), 1)
-        tracemalloc.start()
-        try:
-            cohomology_table(J, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * cells
+        warm = saturate_irrelevant(power(cycle_ideal(5), 2))
+        for reader in (
+            lambda J: cohomology_table(J, 1),
+            regularity,
+            lambda J: cohomology_tables(J, range(krull_dimension(J) + 1)),
+        ):
+            reader(warm)
+            tracemalloc.start()
+            try:
+                reader(J)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * cells, (reader, peak / cells)
